@@ -327,8 +327,10 @@ class SwarmHarness {
         continue;
       }
       const auto now = Clock::now();
-      if (replies_.top().due > now) {
-        reply_cv_.wait_until(lock, replies_.top().due);
+      // A copy: the wait unlocks, and a push may reallocate the heap.
+      const Clock::time_point next_due = replies_.top().due;
+      if (next_due > now) {
+        reply_cv_.wait_until(lock, next_due);
         continue;
       }
       due.clear();

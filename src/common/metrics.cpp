@@ -82,6 +82,10 @@ std::map<std::string, std::string, std::less<>>& help_catalog() {
       {"provider.completed", "executions finished ok"},
       {"provider.trapped", "executions ended in a deterministic trap"},
       {"provider.vm.executions", "VM runs completed"},
+      {"provider.vm.inline",
+       "known-small runs taken on the provider's mailbox thread"},
+      {"provider.vm.inline_handoffs",
+       "inline runs that hit the fuel cap and moved to the worker pool"},
       {"provider.vm.traps", "VM deterministic traps"},
       {"provider.vm.slices", "fuel slices run"},
       {"provider.vm.suspensions", "suspensions (checkpoint taken)"},

@@ -24,6 +24,12 @@ Result<proto::VmBody> compile_tasklet(std::string_view tcl_source,
 // Per-provider execution service: a worker pool sized to the slot count, an
 // optional emulated slowdown (sleeps proportionally to execution time) and
 // fault injection. Completions are posted back into the owning actor host.
+//
+// Known-small work skips the pool. When every completed run of a program fit
+// in kInlineFuel and nothing else of this provider is in flight, execute()
+// runs the assignment on the provider's own mailbox thread. That removes the
+// mailbox -> worker -> mailbox round trip, two of the eight cross-thread
+// hand-offs of an in-proc tasklet, from its path (DESIGN.md section 5).
 class TaskletSystem::ProviderExecution final : public provider::ExecutionService {
  public:
   ProviderExecution(std::shared_ptr<provider::VmExecutor> executor,
@@ -47,53 +53,17 @@ class TaskletSystem::ProviderExecution final : public provider::ExecutionService
   }
 
   void execute(provider::ExecRequest request, provider::ExecDone done) override {
-    pool_.submit([this, request = std::move(request), done = std::move(done)] {
-      const SteadyClock clock;
-      const SimTime start = clock.now();
-      // Sliced execution so a drain request can checkpoint in-flight work at
-      // the next slice boundary (~tens of ms of compute).
-      constexpr std::uint64_t kFuelSlice = 2'000'000;
-      proto::AttemptOutcome outcome =
-          executor_->run_sliced(request, kFuelSlice, drain_);
-      if (slowdown_ > 1.0) {
-        const SimTime elapsed = clock.now() - start;
-        const auto extra = static_cast<SimTime>(
-            static_cast<double>(elapsed) * (slowdown_ - 1.0));
-        std::this_thread::sleep_for(std::chrono::nanoseconds(extra));
-      }
-      if (fault_rate_ > 0.0) {
-        const std::scoped_lock lock(fault_mutex_);
-        outcome = provider::maybe_corrupt(std::move(outcome), fault_rate_,
-                                          fault_rng_);
-      }
-      net::ActorHost* owner = owner_.load(std::memory_order_acquire);
-      if (owner == nullptr) return;
-      // The worker's wall clock and the actor host's `now` share no epoch, so
-      // the "vm" span is anchored to the completion's host timestamp and
-      // extends backwards by the measured execution time.
-      const SimTime elapsed = clock.now() - start;
-      owner->post_closure([this, outcome = std::move(outcome),
-                           done = std::move(done), elapsed,
-                           ctx = request.trace, tasklet = request.tasklet](
-                              SimTime now, proto::Outbox& out) mutable {
-        if (trace_ != nullptr && ctx.active()) {
-          Span span;
-          span.trace_id = ctx.trace_id;
-          span.parent_span = ctx.parent_span;
-          span.name = "vm";
-          span.node = node_;
-          span.tasklet = tasklet;
-          span.start = now > elapsed ? now - elapsed : 0;
-          span.end = now;
-          span.args.emplace_back("status",
-                                 std::string(proto::to_string(outcome.status)));
-          span.args.emplace_back("instructions",
-                                 std::to_string(outcome.instructions));
-          span.args.emplace_back("fuel", std::to_string(outcome.fuel_used));
-          trace_->add(std::move(span));
-        }
-        done(std::move(outcome), now, out);
-      });
+    Attempt attempt{executor_->begin(request), std::move(done), request.trace,
+                    request.tasklet};
+    const bool idle = outstanding_++ == 0;
+    // A slowdown provider's emulation sleep would block its mailbox.
+    if (idle && slowdown_ <= 1.0 && attempt.run.completed_within(kInlineFuel)) {
+      TASKLETS_COUNT("provider.vm.inline", 1);
+      if (run_attempt(attempt, kInlineCapFuel, /*to_end=*/false)) return;
+      TASKLETS_COUNT("provider.vm.inline_handoffs", 1);
+    }
+    pool_.submit([this, attempt = std::move(attempt)]() mutable {
+      (void)run_attempt(attempt, kFuelSlice, /*to_end=*/true);
     });
   }
 
@@ -105,6 +75,84 @@ class TaskletSystem::ProviderExecution final : public provider::ExecutionService
   void drain() noexcept { drain_.store(true, std::memory_order_relaxed); }
 
  private:
+  // Both inline constants are sized from the measured cross-core hand-off
+  // (~10 us, net.inproc.hop_p50_us on a 4-CPU host) and the VM's slowest
+  // kernel class (~220 Mfuel/s on call-heavy code). kInlineFuel is about
+  // 20 us of VM work, what the two saved hand-offs cost. kInlineCapFuel is
+  // the most a mispredicted inline run may hold the mailbox before the pool
+  // takes over its suspended machine.
+  static constexpr std::uint64_t kInlineFuel = 5'000;
+  static constexpr std::uint64_t kInlineCapFuel = 2 * kInlineFuel;
+  // Pool slices bound how late a drain request is seen (~ms of compute).
+  static constexpr std::uint64_t kFuelSlice = 2'000'000;
+
+  // An assignment between execute() and its completion.
+  struct Attempt {
+    provider::VmExecutor::Run run;
+    provider::ExecDone done;
+    TraceContext trace;
+    TaskletId tasklet;
+    SimTime vm_time = 0;  // execution time of earlier calls to run_attempt
+  };
+
+  // The run body of both paths. Steps the VM in slices of `fuel_slice`,
+  // until it has an outcome or, unless `to_end`, for one slice. Then applies
+  // slowdown and fault injection and posts the completion, with its "vm"
+  // span, into the owner's mailbox. Returns false, posting nothing, when the
+  // one slice left the machine suspended.
+  bool run_attempt(Attempt& attempt, std::uint64_t fuel_slice, bool to_end) {
+    const SteadyClock clock;
+    const SimTime start = clock.now();
+    std::optional<proto::AttemptOutcome> outcome =
+        attempt.run.step(fuel_slice, drain_);
+    while (!outcome && to_end) outcome = attempt.run.step(fuel_slice, drain_);
+    if (!outcome) {
+      attempt.vm_time += clock.now() - start;
+      return false;
+    }
+    if (slowdown_ > 1.0) {
+      const SimTime elapsed = attempt.vm_time + (clock.now() - start);
+      const auto extra = static_cast<SimTime>(
+          static_cast<double>(elapsed) * (slowdown_ - 1.0));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(extra));
+    }
+    if (fault_rate_ > 0.0) {
+      const std::scoped_lock lock(fault_mutex_);
+      *outcome = provider::maybe_corrupt(std::move(*outcome), fault_rate_,
+                                         fault_rng_);
+    }
+    net::ActorHost* owner = owner_.load(std::memory_order_acquire);
+    if (owner == nullptr) return true;
+    // The worker's wall clock and the actor host's `now` share no epoch, so
+    // the "vm" span is anchored to the completion's host timestamp and
+    // extends backwards by the measured execution time.
+    const SimTime elapsed = attempt.vm_time + (clock.now() - start);
+    owner->post_closure([this, outcome = std::move(*outcome),
+                         done = std::move(attempt.done), elapsed,
+                         ctx = attempt.trace, tasklet = attempt.tasklet](
+                            SimTime now, proto::Outbox& out) mutable {
+      --outstanding_;
+      if (trace_ != nullptr && ctx.active()) {
+        Span span;
+        span.trace_id = ctx.trace_id;
+        span.parent_span = ctx.parent_span;
+        span.name = "vm";
+        span.node = node_;
+        span.tasklet = tasklet;
+        span.start = now > elapsed ? now - elapsed : 0;
+        span.end = now;
+        span.args.emplace_back("status",
+                               std::string(proto::to_string(outcome.status)));
+        span.args.emplace_back("instructions",
+                               std::to_string(outcome.instructions));
+        span.args.emplace_back("fuel", std::to_string(outcome.fuel_used));
+        trace_->add(std::move(span));
+      }
+      done(std::move(outcome), now, out);
+    });
+    return true;
+  }
+
   std::shared_ptr<provider::VmExecutor> executor_;
   std::atomic<bool> drain_{false};
   double slowdown_;
@@ -114,6 +162,10 @@ class TaskletSystem::ProviderExecution final : public provider::ExecutionService
   std::atomic<net::ActorHost*> owner_ = nullptr;
   TraceStore* trace_ = nullptr;
   NodeId node_;
+  // Attempts passed to execute() whose completion closure has not run yet.
+  // execute() and those closures both run on the owner's mailbox thread, so
+  // the count needs no synchronization.
+  std::uint32_t outstanding_ = 0;
   ThreadPool pool_;
 };
 

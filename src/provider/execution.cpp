@@ -98,87 +98,105 @@ proto::AttemptOutcome trap_outcome(const Status& status) {
 }
 }  // namespace
 
-proto::AttemptOutcome VmExecutor::run(const ExecRequest& request) {
-  // Unbounded slice, never-draining flag: plain execution.
-  static const std::atomic<bool> kNeverDrain{false};
-  return run_sliced(request, 0, kNeverDrain);
+void VmExecutor::CacheEntry::note_completed(std::uint64_t fuel) const noexcept {
+  std::uint64_t seen = peak_fuel.load(std::memory_order_relaxed);
+  while ((seen == kNoCompletedRun || seen < fuel) &&
+         !peak_fuel.compare_exchange_weak(seen, fuel, std::memory_order_relaxed)) {
+  }
 }
 
-proto::AttemptOutcome VmExecutor::run_sliced(const ExecRequest& request,
-                                             std::uint64_t fuel_slice,
-                                             const std::atomic<bool>& drain) {
-  proto::AttemptOutcome outcome;
+VmExecutor::Run VmExecutor::begin(const ExecRequest& request) {
+  Run run;
+  run.count_ = !request.calibration;
   if (const auto* synth = std::get_if<proto::SyntheticBody>(&request.body)) {
+    proto::AttemptOutcome& outcome = run.settled_.emplace();
     outcome.status = proto::AttemptStatus::kOk;
     outcome.result = synth->result;
     outcome.fuel_used = synth->fuel;
-    return outcome;
+    return run;
   }
   if (std::holds_alternative<proto::DigestBody>(request.body)) {
     // Digest bodies are resolved to inline bytecode by the ProviderAgent
     // before execution; one reaching the executor means the resolution
     // layer was bypassed. Rejecting lets the broker re-issue inline.
+    proto::AttemptOutcome& outcome = run.settled_.emplace();
     outcome.status = proto::AttemptStatus::kRejected;
     outcome.error = "unresolved digest body";
-    return outcome;
+    return run;
   }
   const auto& vm_body = std::get<proto::VmBody>(request.body);
-  const std::shared_ptr<const CacheEntry> entry =
-      lookup_or_verify(vm_body.program);
-  if (!entry->verified_ok) {
+  run.entry_ = lookup_or_verify(vm_body.program);
+  if (!run.entry_->verified_ok) {
     // Verification failure is deterministic: every honest provider would
     // reject the same bytes. Report it as a trap so the broker fails fast
     // instead of re-issuing (kRejected is reserved for capacity/offline).
+    proto::AttemptOutcome& outcome = run.settled_.emplace();
     outcome.status = proto::AttemptStatus::kTrap;
-    outcome.error = "program rejected: " + entry->verify_error;
+    outcome.error = "program rejected: " + run.entry_->verify_error;
+    return run;
+  }
+  run.limits_ = default_limits_;
+  if (request.max_fuel > 0) run.limits_.max_fuel = request.max_fuel;
+  if (!request.resume_snapshot.empty()) {
+    // Migrated work resumes from its snapshot instead of the entry point.
+    run.machine_.emplace().state = request.resume_snapshot;
+  } else {
+    run.args_ = vm_body.args;
+  }
+  return run;
+}
+
+proto::AttemptOutcome VmExecutor::run(const ExecRequest& request) {
+  // One unbounded slice with a never-draining flag: plain execution (an
+  // unbounded slice always ends in an outcome).
+  static const std::atomic<bool> kNeverDrain{false};
+  return *begin(request).step(0, kNeverDrain);
+}
+
+bool VmExecutor::Run::completed_within(std::uint64_t fuel) const noexcept {
+  if (entry_ == nullptr) return false;
+  const std::uint64_t peak = entry_->peak_fuel.load(std::memory_order_relaxed);
+  return peak != CacheEntry::kNoCompletedRun && peak <= fuel;
+}
+
+std::optional<proto::AttemptOutcome> VmExecutor::Run::step(
+    std::uint64_t fuel_slice, const std::atomic<bool>& drain) {
+  if (settled_) return std::move(settled_);
+  tvm::ExecOptions options;
+  options.plan = &entry_->plan;
+  Result<tvm::SliceOutcome> slice =
+      machine_ ? tvm::resume_slice(entry_->program, *machine_, limits_,
+                                   fuel_slice, options)
+               : tvm::execute_slice(entry_->program, args_, limits_, fuel_slice,
+                                    options);
+  if (!slice.is_ok()) {
+    if (count_) TASKLETS_COUNT("provider.vm.traps", 1);
+    return trap_outcome(slice.status());
+  }
+  if (auto* exec = std::get_if<tvm::ExecOutcome>(&*slice)) {
+    entry_->note_completed(exec->fuel_used);
+    if (count_) {
+      TASKLETS_COUNT("provider.vm.executions", 1);
+      TASKLETS_COUNT("provider.vm.instructions", exec->instructions);
+    }
+    return finish_outcome(std::move(*exec));
+  }
+  auto& suspension = std::get<tvm::Suspension>(*slice);
+  if (drain.load(std::memory_order_relaxed)) {
+    proto::AttemptOutcome outcome;
+    outcome.status = proto::AttemptStatus::kSuspended;
+    outcome.fuel_used = suspension.fuel_used;
+    outcome.instructions = suspension.instructions;
+    outcome.snapshot = std::move(suspension.state);
+    if (count_) {
+      TASKLETS_COUNT("provider.vm.suspensions", 1);
+      TASKLETS_COUNT("provider.vm.snapshot_bytes", outcome.snapshot.size());
+    }
     return outcome;
   }
-  tvm::ExecLimits limits = default_limits_;
-  if (request.max_fuel > 0) limits.max_fuel = request.max_fuel;
-  tvm::ExecOptions options;
-  options.plan = &entry->plan;
-
-  // First slice: fresh start or resume of a migrated snapshot.
-  Result<tvm::SliceOutcome> slice = [&]() -> Result<tvm::SliceOutcome> {
-    if (!request.resume_snapshot.empty()) {
-      tvm::Suspension incoming;
-      incoming.state = request.resume_snapshot;
-      return tvm::resume_slice(entry->program, incoming, limits, fuel_slice,
-                               options);
-    }
-    return tvm::execute_slice(entry->program, vm_body.args, limits, fuel_slice,
-                              options);
-  }();
-
-  const bool count = !request.calibration;
-  for (;;) {
-    if (!slice.is_ok()) {
-      if (count) TASKLETS_COUNT("provider.vm.traps", 1);
-      return trap_outcome(slice.status());
-    }
-    if (auto* exec = std::get_if<tvm::ExecOutcome>(&*slice)) {
-      if (count) {
-        TASKLETS_COUNT("provider.vm.executions", 1);
-        TASKLETS_COUNT("provider.vm.instructions", exec->instructions);
-      }
-      return finish_outcome(std::move(*exec));
-    }
-    auto& suspension = std::get<tvm::Suspension>(*slice);
-    if (drain.load(std::memory_order_relaxed)) {
-      outcome.status = proto::AttemptStatus::kSuspended;
-      outcome.fuel_used = suspension.fuel_used;
-      outcome.instructions = suspension.instructions;
-      outcome.snapshot = std::move(suspension.state);
-      if (count) {
-        TASKLETS_COUNT("provider.vm.suspensions", 1);
-        TASKLETS_COUNT("provider.vm.snapshot_bytes", outcome.snapshot.size());
-      }
-      return outcome;
-    }
-    if (count) TASKLETS_COUNT("provider.vm.slices", 1);
-    slice = tvm::resume_slice(entry->program, suspension, limits, fuel_slice,
-                              options);
-  }
+  if (count_) TASKLETS_COUNT("provider.vm.slices", 1);
+  machine_ = std::move(suspension);
+  return std::nullopt;
 }
 
 proto::AttemptOutcome maybe_corrupt(proto::AttemptOutcome outcome,

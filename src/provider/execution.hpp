@@ -7,8 +7,9 @@
 //
 //   * VmExecutor — shared, thread-safe bytecode executor with a per-program
 //     verification + fast-path-plan cache; used directly by the threaded
-//     runtime's worker pool and by the simulator to obtain (result, fuel)
-//     pairs.
+//     runtime's providers (on the mailbox thread for known-small programs,
+//     on the worker pool otherwise) and by the simulator to obtain
+//     (result, fuel) pairs.
 //   * The simulator's ExecutionService lives in sim/ (it converts fuel to
 //     virtual time using the device profile).
 #pragma once
@@ -18,6 +19,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "common/rng.hpp"
@@ -68,18 +70,17 @@ class VmExecutor {
 
   static constexpr std::size_t kDefaultCacheEntries = 128;
 
+  // One request's execution, advanced slice by slice (defined below).
+  class Run;
+
+  // Binds `request` to its cached, verified program: the request's one
+  // program digest and cache lookup. Nothing executes until Run::step().
+  [[nodiscard]] Run begin(const ExecRequest& request);
+
   // Runs a tasklet body to completion on the calling thread. VM traps are
   // reported through AttemptOutcome (status kTrap), never as a Result error.
   // Honours request.resume_snapshot (migration).
   [[nodiscard]] proto::AttemptOutcome run(const ExecRequest& request);
-
-  // Like run(), but executes in fuel slices and checkpoints when `drain`
-  // becomes true between slices: returns status kSuspended with the machine
-  // snapshot in `outcome.snapshot`. This is how a provider evacuates
-  // in-flight work when asked to leave gracefully.
-  [[nodiscard]] proto::AttemptOutcome run_sliced(const ExecRequest& request,
-                                                 std::uint64_t fuel_slice,
-                                                 const std::atomic<bool>& drain);
 
   // Number of verified programs currently cached.
   [[nodiscard]] std::size_t cache_size() const;
@@ -96,6 +97,12 @@ class VmExecutor {
     bool verified_ok = false;
     std::string verify_error;
     std::list<store::Digest>::iterator lru;  // position in lru_
+    // Largest fuel any completed run of this program used, or
+    // kNoCompletedRun. The only field that changes once the entry is cached.
+    mutable std::atomic<std::uint64_t> peak_fuel{kNoCompletedRun};
+
+    static constexpr std::uint64_t kNoCompletedRun = ~std::uint64_t{0};
+    void note_completed(std::uint64_t fuel) const noexcept;
   };
 
   [[nodiscard]] std::shared_ptr<const CacheEntry> lookup_or_verify(
@@ -107,6 +114,41 @@ class VmExecutor {
   std::uint64_t evictions_ = 0;
   std::list<store::Digest> lru_;  // most-recent first
   std::unordered_map<store::Digest, std::shared_ptr<CacheEntry>> cache_;
+};
+
+// A Run is a plain value: whichever thread holds it may step it, and moving
+// it hands a suspended machine to another thread. That is how a provider
+// starts known-small work on its mailbox thread and passes work that outgrew
+// the prediction to its worker pool.
+class VmExecutor::Run {
+ public:
+  // True when the program has completed on this executor before and no
+  // completed run of it used more than `fuel`.
+  [[nodiscard]] bool completed_within(std::uint64_t fuel) const noexcept;
+
+  // Runs one slice of about `fuel_slice` fuel (0 = to the end). Returns the
+  // attempt's outcome once there is one: the result, a trap, or, when
+  // `drain` is set at the slice boundary, a kSuspended checkpoint with the
+  // machine snapshot in `outcome.snapshot` (how a provider evacuates
+  // in-flight work when asked to leave gracefully). Returns nullopt when the
+  // slice ended with the machine still running: step again to continue.
+  // Do not step a Run that already returned an outcome.
+  [[nodiscard]] std::optional<proto::AttemptOutcome> step(
+      std::uint64_t fuel_slice, const std::atomic<bool>& drain);
+
+ private:
+  friend class VmExecutor;
+  Run() = default;  // only begin() makes one
+
+  std::shared_ptr<const CacheEntry> entry_;
+  // Outcome decided without running (synthetic body, unresolved digest,
+  // program rejected by the verifier).
+  std::optional<proto::AttemptOutcome> settled_;
+  tvm::ExecLimits limits_;
+  std::vector<tvm::HostArg> args_;
+  // Where the next slice resumes; empty before a fresh start.
+  std::optional<tvm::Suspension> machine_;
+  bool count_ = true;  // feeds the provider.vm.* metrics
 };
 
 // Injects silent result corruption with probability `fault_rate` — models

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 
 #include "core/kernels.hpp"
 #include "core/system.hpp"
@@ -26,6 +27,10 @@ proto::TaskletBody fib_body(std::int64_t n) {
 proto::TaskletReport get_or_die(std::future<proto::TaskletReport>& future) {
   EXPECT_EQ(future.wait_for(30s), std::future_status::ready) << "deadlock?";
   return future.get();
+}
+
+std::uint64_t counter(std::string_view name) {
+  return TaskletSystem::metrics_snapshot().counter(name);
 }
 
 TEST(SystemIntegration, SingleTaskletRoundTrip) {
@@ -109,6 +114,18 @@ TEST(SystemIntegration, RedundancyMasksFaultyProvider) {
   faulty.fault_rate = 1.0;  // corrupts every result
   system.add_provider(faulty);
 
+  // Registration is asynchronous: run plain tasklets until each provider has
+  // executed one, so that every round below can place all three replicas.
+  std::set<NodeId> registered;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (registered.size() < 3 && std::chrono::steady_clock::now() < deadline) {
+    auto futures = system.submit_batch({fib_body(12), fib_body(12), fib_body(12)});
+    for (auto& future : futures) registered.insert(get_or_die(future).executed_by);
+  }
+  ASSERT_EQ(registered.size(), 3u);
+  const std::uint64_t issued_before = system.broker_stats().attempts_issued;
+  const std::uint64_t completed_before = counter("provider.completed");
+
   // With redundancy 3 the two honest replicas outvote the faulty one no
   // matter where the replicas land.
   Qoc qoc;
@@ -118,12 +135,20 @@ TEST(SystemIntegration, RedundancyMasksFaultyProvider) {
     const auto report = get_or_die(future);
     ASSERT_EQ(report.status, TaskletStatus::kCompleted);
     EXPECT_EQ(std::get<std::int64_t>(report.result), 144);
+    // The report needs only the two honest votes. Let the corrupt replica
+    // finish as well: a provider still busy with it when the next round
+    // arrives cannot take that round's third replica.
+    while (counter("provider.completed") - completed_before <
+               system.broker_stats().attempts_issued - issued_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
   }
   // Note: votes_overruled is timing-dependent here — the corrupt replica may
   // arrive only after the honest majority already concluded, in which case
   // it is (correctly) discarded as a late result. The invariant under test
   // is that the *reported* value is always the honest one, asserted above.
-  EXPECT_GE(system.broker_stats().attempts_issued, 15u);
+  EXPECT_GE(system.broker_stats().attempts_issued - issued_before, 15u);
 }
 
 TEST(SystemIntegration, SlowdownYieldsLowerMeasuredSpeed) {
@@ -226,6 +251,110 @@ TEST(SystemIntegration, StopIsIdempotentAndCleanUnderLoad) {
   // The future may or may not have resolved; both are acceptable. What is
   // required is that destruction below is clean (asan/tsan builds verify).
   (void)future;
+}
+
+// --- known-small work on the provider's mailbox thread ---------------------
+
+// Direct tvm::execute of a body: the parity reference.
+tvm::ExecOutcome reference_run(const proto::TaskletBody& body) {
+  const auto& vm = std::get<proto::VmBody>(body);
+  auto program = tvm::Program::deserialize(
+      std::span<const std::byte>(vm.program.data(), vm.program.size()));
+  EXPECT_TRUE(program.is_ok());
+  auto outcome = tvm::execute(*program, vm.args);
+  EXPECT_TRUE(outcome.is_ok());
+  return std::move(outcome).value();
+}
+
+TEST(SystemIntegration, InlineRunsMatchTheVmExactly) {
+  TaskletSystem system;
+  system.add_provider();
+  const proto::TaskletBody body = fib_body(10);
+  const tvm::ExecOutcome reference = reference_run(body);
+  const std::uint64_t inline_before = counter("provider.vm.inline");
+  const std::uint64_t handoffs_before = counter("provider.vm.inline_handoffs");
+  for (std::uint64_t run = 0; run < 4; ++run) {
+    auto future = system.submit(proto::TaskletBody{body});
+    const auto report = get_or_die(future);
+    ASSERT_EQ(report.status, TaskletStatus::kCompleted);
+    EXPECT_TRUE(tvm::args_equal(report.result, reference.result));
+    EXPECT_EQ(report.fuel_used, reference.fuel_used);
+    EXPECT_EQ(report.instructions, reference.instructions);
+    // The first run has no completed history, so it takes the pool; every
+    // later one is known-small on an idle provider.
+    EXPECT_EQ(counter("provider.vm.inline") - inline_before, run);
+  }
+  EXPECT_EQ(counter("provider.vm.inline_handoffs"), handoffs_before);
+}
+
+TEST(SystemIntegration, MispredictedInlineRunHandsOffToThePoolExactly) {
+  TaskletSystem system;
+  system.add_provider();
+  auto small = compile_tasklet(kernels::kSpin, {std::int64_t{1}});
+  ASSERT_TRUE(small.is_ok());
+  auto first = system.submit(proto::TaskletBody{*small});
+  ASSERT_EQ(get_or_die(first).status, TaskletStatus::kCompleted);
+
+  // Same program, so its history says small; this run is ~90M fuel.
+  proto::TaskletBody large{*small};
+  std::get<proto::VmBody>(large).args = {std::int64_t{4'000'000}};
+  const tvm::ExecOutcome reference = reference_run(large);
+  const std::uint64_t inline_before = counter("provider.vm.inline");
+  const std::uint64_t handoffs_before = counter("provider.vm.inline_handoffs");
+  auto future = system.submit(std::move(large));
+  const auto report = get_or_die(future);
+  ASSERT_EQ(report.status, TaskletStatus::kCompleted);
+  EXPECT_TRUE(tvm::args_equal(report.result, reference.result));
+  EXPECT_EQ(report.fuel_used, reference.fuel_used);
+  EXPECT_EQ(report.instructions, reference.instructions);
+  EXPECT_EQ(counter("provider.vm.inline") - inline_before, 1u);
+  EXPECT_EQ(counter("provider.vm.inline_handoffs") - handoffs_before, 1u);
+
+  // The large completion raised the program's peak: no more inline runs.
+  auto again = system.submit(proto::TaskletBody{*small});
+  ASSERT_EQ(get_or_die(again).status, TaskletStatus::kCompleted);
+  EXPECT_EQ(counter("provider.vm.inline") - inline_before, 1u);
+}
+
+TEST(SystemIntegration, SlowdownProviderNeverRunsInline) {
+  TaskletSystem system;
+  ProviderOptions slow;
+  slow.slowdown = 2.0;
+  system.add_provider(slow);
+  const proto::TaskletBody body = fib_body(10);
+  const std::uint64_t inline_before = counter("provider.vm.inline");
+  for (int run = 0; run < 4; ++run) {
+    auto future = system.submit(proto::TaskletBody{body});
+    EXPECT_EQ(get_or_die(future).status, TaskletStatus::kCompleted);
+  }
+  EXPECT_EQ(counter("provider.vm.inline"), inline_before);
+}
+
+TEST(SystemIntegration, BusyProviderKeepsSmallWorkOnThePool) {
+  TaskletSystem system;
+  ProviderOptions options;
+  options.capability.slots = 2;
+  system.add_provider(options);
+  const proto::TaskletBody small = fib_body(10);
+  const std::uint64_t inline_start = counter("provider.vm.inline");
+  for (int run = 0; run < 2; ++run) {  // history, then one inline run
+    auto future = system.submit(proto::TaskletBody{small});
+    ASSERT_EQ(get_or_die(future).status, TaskletStatus::kCompleted);
+  }
+  const std::uint64_t inline_before = counter("provider.vm.inline");
+  ASSERT_EQ(inline_before - inline_start, 1u);
+
+  // The long tasklet is assigned first and holds the other slot on the
+  // pool, so the provider is not idle when the small one arrives.
+  auto long_body = compile_tasklet(kernels::kSpin, {std::int64_t{4'000'000}});
+  ASSERT_TRUE(long_body.is_ok());
+  auto long_future = system.submit(std::move(long_body).value());
+  auto small_future = system.submit(proto::TaskletBody{small});
+  EXPECT_EQ(get_or_die(small_future).status, TaskletStatus::kCompleted);
+  ASSERT_EQ(long_future.wait_for(0s), std::future_status::timeout)
+      << "the long tasklet must still be running";
+  EXPECT_EQ(counter("provider.vm.inline"), inline_before);
+  EXPECT_EQ(get_or_die(long_future).status, TaskletStatus::kCompleted);
 }
 
 TEST(SystemIntegration, CompileTaskletReportsErrorsWithPositions) {

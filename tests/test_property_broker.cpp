@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "broker/broker.hpp"
@@ -547,6 +548,13 @@ struct DeterminismCase {
   std::uint64_t seed;
   const char* policy;
 };
+
+// Without a printer gtest shows a case as a byte dump that includes the
+// address of `policy`, which ASLR moves on every run, so the test names
+// derived from it (e.g. by CMake's gtest_discover_tests) would never repeat.
+void PrintTo(const DeterminismCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_" << c.policy;
+}
 
 class SimDeterminismSweep : public ::testing::TestWithParam<DeterminismCase> {};
 

@@ -118,6 +118,50 @@ TEST(VmExecutorTest, ConcurrentExecutionsAreSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(VmExecutorTest, CompletedRunsRecordTheProgramsPeakFuel) {
+  VmExecutor executor;
+  const auto small = vm_request(core::kernels::kFib, {std::int64_t{5}});
+  EXPECT_FALSE(executor.begin(small).completed_within(~std::uint64_t{0}))
+      << "a program that never completed has no known size";
+  const std::uint64_t small_fuel = executor.run(small).fuel_used;
+  EXPECT_TRUE(executor.begin(small).completed_within(small_fuel));
+  EXPECT_FALSE(executor.begin(small).completed_within(small_fuel - 1));
+
+  // The peak is per program, not per argument list: a larger run of the
+  // same program raises it, and a later smaller run does not lower it.
+  const std::uint64_t large_fuel =
+      executor.run(vm_request(core::kernels::kFib, {std::int64_t{12}})).fuel_used;
+  (void)executor.run(small);
+  EXPECT_FALSE(executor.begin(small).completed_within(large_fuel - 1));
+  EXPECT_TRUE(executor.begin(small).completed_within(large_fuel));
+
+  // Traps are not completions.
+  const auto trapping = vm_request("int main(int n) { return 1 % n; }", {std::int64_t{0}});
+  (void)executor.run(trapping);
+  EXPECT_FALSE(executor.begin(trapping).completed_within(~std::uint64_t{0}));
+}
+
+TEST(VmExecutorTest, DrainAtTheFirstSliceBoundaryCheckpoints) {
+  VmExecutor executor;
+  const auto request = vm_request(core::kernels::kSpin, {std::int64_t{2'000}});
+  const auto reference = executor.run(request);
+  const std::atomic<bool> drain{true};
+  const auto suspended = executor.begin(request).step(1'000, drain);
+  ASSERT_TRUE(suspended.has_value());
+  ASSERT_EQ(suspended->status, AttemptStatus::kSuspended);
+  EXPECT_FALSE(suspended->snapshot.empty());
+  EXPECT_GT(suspended->fuel_used, 0u);
+  EXPECT_LT(suspended->fuel_used, reference.fuel_used);
+
+  // The checkpoint resumes to the same totals as the uninterrupted run.
+  auto resumed = request;
+  resumed.resume_snapshot = suspended->snapshot;
+  const auto finished = executor.run(resumed);
+  ASSERT_EQ(finished.status, AttemptStatus::kOk);
+  EXPECT_TRUE(tvm::args_equal(finished.result, reference.result));
+  EXPECT_EQ(finished.fuel_used, reference.fuel_used);
+}
+
 // --- fault injection ------------------------------------------------------------
 
 TEST(FaultInjectionTest, ZeroRateNeverCorrupts) {
