@@ -27,9 +27,10 @@ Result<proto::VmBody> compile_tasklet(std::string_view tcl_source,
 //
 // Known-small work skips the pool. When every completed run of a program fit
 // in kInlineFuel and nothing else of this provider is in flight, execute()
-// runs the assignment on the provider's own mailbox thread. That removes the
-// mailbox -> worker -> mailbox round trip, two of the eight cross-thread
-// hand-offs of an in-proc tasklet, from its path (DESIGN.md section 5).
+// runs the assignment on the provider's mailbox thread (in-proc, the thread
+// all actors of the runtime share). That removes the mailbox -> worker ->
+// mailbox round trip, two of the four cross-thread hand-offs of an in-proc
+// tasklet, from its path (DESIGN.md section 5).
 class TaskletSystem::ProviderExecution final : public provider::ExecutionService {
  public:
   ProviderExecution(std::shared_ptr<provider::VmExecutor> executor,

@@ -6,166 +6,240 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/metrics.hpp"
 
 namespace tasklets::net {
 
+namespace {
+
+// The MailboxThread whose loop runs on the calling thread, if any: a stop()
+// issued from a handler must not wait for that handler to finish.
+thread_local const MailboxThread* t_serving = nullptr;
+
+void deliver(proto::Actor& actor, HostEnv& env,
+             std::variant<proto::Envelope, ActorClosure>& item, proto::Outbox& out) {
+  if (auto* envelope = std::get_if<proto::Envelope>(&item)) {
+    actor.on_message(*envelope, env.now(), out);
+  } else {
+    std::get<ActorClosure>(item)(env.now(), out);
+  }
+}
+
+}  // namespace
+
+// --- MailboxThread ---------------------------------------------------------------
+
+MailboxThread::MailboxThread(std::string name) : name_(std::move(name)) {
+  burst_.reserve(kMaxBatch);
+}
+
+MailboxThread::~MailboxThread() { stop(); }
+
+void MailboxThread::stop() {
+  std::thread thread;
+  {
+    const std::scoped_lock lock(mutex_);
+    stopping_ = true;
+    thread = std::move(thread_);
+  }
+  wake_.notify_all();
+  if (thread.joinable()) thread.join();
+}
+
+void MailboxThread::start(ActorHost& host) {
+  bool wake = false;
+  {
+    const std::scoped_lock lock(mutex_);
+    if (host.state_ != ActorHost::State::kCreated) return;
+    host.state_ = ActorHost::State::kStarting;
+    host.queued_ = true;
+    ready_.push_back(&host);
+    if (!thread_.joinable() && !stopping_) {
+      thread_ = std::thread([this] { run(); });
+    } else {
+      wake = std::exchange(parked_, false);
+    }
+  }
+  if (wake) wake_.notify_one();
+}
+
+void MailboxThread::post(ActorHost& host, Item item) {
+  bool wake = false;
+  {
+    const std::scoped_lock lock(mutex_);
+    if (host.state_ == ActorHost::State::kStopped) return;
+    host.mailbox_.push_back(std::move(item));
+    if (host.state_ != ActorHost::State::kCreated && !host.queued_) {
+      host.queued_ = true;
+      ready_.push_back(&host);
+      // Only a parked thread needs a notify; the serving thread itself
+      // never is, so its own posts cost no wake-up.
+      wake = std::exchange(parked_, false);
+    }
+  }
+  if (wake) wake_.notify_one();
+}
+
+void MailboxThread::stop(ActorHost& host) {
+  std::deque<Item> dropped;  // destroyed after the lock is released
+  std::unique_lock lock(mutex_);
+  if (host.state_ != ActorHost::State::kStopped) {
+    host.state_ = ActorHost::State::kStopped;
+    dropped.swap(host.mailbox_);
+    if (host.queued_) std::erase(ready_, &host);
+    host.queued_ = false;
+    for (const auto& [timer_id, due] : host.timers_) {
+      timers_.erase(Timer{due, &host, timer_id});
+    }
+    host.timers_.clear();
+  }
+  if (t_serving != this) {
+    turn_done_.wait(lock, [this, &host] { return current_ != &host; });
+  }
+}
+
+void MailboxThread::arm(ActorHost& host,
+                        const std::vector<proto::TimerRequest>& requests) {
+  const std::scoped_lock lock(mutex_);
+  if (host.state_ == ActorHost::State::kStopped) return;
+  const SimTime now = clock_.now();
+  for (const auto& request : requests) {
+    const SimTime due = now + request.delay;
+    const auto [it, inserted] = host.timers_.try_emplace(request.timer_id, due);
+    if (!inserted) {  // re-arm replaces the pending instance
+      timers_.erase(Timer{it->second, &host, request.timer_id});
+      it->second = due;
+    }
+    timers_.insert(Timer{due, &host, request.timer_id});
+  }
+}
+
+void MailboxThread::run() {
+  t_serving = this;
+#if defined(__linux__)
+  // Thread names cap at 15 chars; a name keeps the thread's CPU visible in
+  // /proc and profilers.
+  ::pthread_setname_np(::pthread_self(), name_.substr(0, 15).c_str());
+#endif
+  std::unique_lock lock(mutex_);
+  // A due timer and a burst take turns, so neither starves the other.
+  bool timer_next = true;
+  while (!stopping_) {
+    const bool timer_due =
+        !timers_.empty() && timers_.begin()->due <= clock_.now();
+    if (timer_due && (timer_next || ready_.empty())) {
+      const Timer timer = *timers_.begin();
+      timers_.erase(timers_.begin());
+      timer.host->timers_.erase(timer.timer_id);
+      run_turn(lock, *timer.host, &timer.timer_id);
+      timer_next = false;
+    } else if (!ready_.empty()) {
+      ActorHost& host = *ready_.front();
+      ready_.pop_front();
+      run_turn(lock, host, nullptr);
+      timer_next = true;
+    } else {
+      const auto has_work = [this] { return stopping_ || !ready_.empty(); };
+      parked_ = true;
+      if (timers_.empty()) {
+        wake_.wait(lock, has_work);
+      } else {
+        wake_.wait_for(lock,
+                       std::chrono::nanoseconds(timers_.begin()->due - clock_.now()),
+                       has_work);
+      }
+      parked_ = false;
+    }
+  }
+}
+
+void MailboxThread::run_turn(std::unique_lock<std::mutex>& lock, ActorHost& host,
+                             const std::uint64_t* timer_id) {
+  const bool starting =
+      timer_id == nullptr && host.state_ == ActorHost::State::kStarting;
+  if (timer_id == nullptr) {
+    if (starting) {
+      host.state_ = ActorHost::State::kRunning;
+    } else {
+      const std::size_t n = std::min(host.mailbox_.size(), kMaxBatch);
+      for (std::size_t i = 0; i < n; ++i) {
+        burst_.push_back(std::move(host.mailbox_.front()));
+        host.mailbox_.pop_front();
+      }
+    }
+    // Round-robin: a host with more work goes behind the other ready ones.
+    host.queued_ = !host.mailbox_.empty();
+    if (host.queued_) ready_.push_back(&host);
+  }
+  current_ = &host;
+  lock.unlock();
+
+  proto::Actor& actor = *host.actor_;
+  proto::Outbox out(actor.id());
+  if (timer_id != nullptr) {
+    actor.on_timer(*timer_id, host.env_.now(), out);
+  } else if (starting) {
+    actor.on_start(host.env_.now(), out);
+  } else if (burst_.size() == 1) {
+    // Single item: deliver without batch brackets so the low-rate path
+    // keeps its original per-message semantics and latency.
+    deliver(actor, host.env_, burst_.front(), out);
+  } else {
+    actor.on_batch_begin(host.env_.now());
+    for (auto& item : burst_) deliver(actor, host.env_, item, out);
+    actor.on_batch_end(host.env_.now(), out);
+  }
+  host.dispatch_outbox(out);
+  burst_.clear();
+
+  lock.lock();
+  current_ = nullptr;
+  turn_done_.notify_all();
+}
+
 // --- ActorHost -----------------------------------------------------------------
 
-ActorHost::ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& runtime)
-    : actor_(std::move(actor)), runtime_(runtime) {}
+ActorHost::ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& env)
+    : actor_(std::move(actor)),
+      env_(env),
+      own_thread_(std::make_unique<MailboxThread>(
+          "actor-" + std::to_string(actor_->id().value()))),
+      thread_(*own_thread_) {}
+
+ActorHost::ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& env,
+                     MailboxThread& thread)
+    : actor_(std::move(actor)), env_(env), thread_(thread) {}
 
 ActorHost::~ActorHost() { stop(); }
 
 NodeId ActorHost::id() const noexcept { return actor_->id(); }
 
 void ActorHost::post(proto::Envelope envelope) {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (stop_requested_) return;
-    mailbox_.push_back(std::move(envelope));
-  }
-  cv_.notify_one();
+  thread_.post(*this, std::move(envelope));
 }
 
 void ActorHost::post_closure(ActorClosure fn) {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (stop_requested_) return;
-    mailbox_.push_back(std::move(fn));
-  }
-  cv_.notify_one();
+  thread_.post(*this, std::move(fn));
 }
 
-void ActorHost::start() {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (running_) return;
-    running_ = true;
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { run_loop(); });
-#if defined(__linux__)
-  // Thread names cap at 15 chars; "actor-<id>" keeps per-actor CPU visible
-  // in /proc and profilers.
-  const std::string name = "actor-" + std::to_string(actor_->id().value());
-  ::pthread_setname_np(thread_.native_handle(), name.substr(0, 15).c_str());
-#endif
-}
+void ActorHost::start() { thread_.start(*this); }
 
 void ActorHost::stop() {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_one();
-  if (thread_.joinable()) thread_.join();
-  const std::scoped_lock lock(mutex_);
-  running_ = false;
+  thread_.stop(*this);
+  if (own_thread_ != nullptr) own_thread_->stop();
 }
 
 bool ActorHost::idle() const {
-  const std::scoped_lock lock(mutex_);
+  const std::scoped_lock lock(thread_.mutex_);
   return mailbox_.empty();
 }
 
-void ActorHost::arm_timers(std::vector<proto::TimerRequest> requests) {
-  // Caller holds no lock; take it here.
-  const std::scoped_lock lock(mutex_);
-  const SimTime now = runtime_.now();
-  for (const auto& request : requests) {
-    timers_[request.timer_id] = {now + request.delay, ++timer_generation_};
-  }
-}
-
 void ActorHost::dispatch_outbox(proto::Outbox& out) {
-  arm_timers(out.take_timers());
+  if (!out.timers().empty()) thread_.arm(*this, out.timers());
   for (auto& envelope : out.take_messages()) {
-    runtime_.route(std::move(envelope));
-  }
-}
-
-void ActorHost::run_loop() {
-  // Mailbox burst drained per wakeup: batching amortizes lock traffic and
-  // lets actors (via the batch brackets) and transports (via one outbox
-  // flush) process a submit storm as one unit. Bounded so timers and stop
-  // requests stay responsive under sustained load.
-  constexpr std::size_t kMaxBatch = 256;
-  // on_start runs first, in-context.
-  {
-    proto::Outbox out(actor_->id());
-    actor_->on_start(runtime_.now(), out);
-    dispatch_outbox(out);
-  }
-  std::vector<Item> batch;
-  batch.reserve(kMaxBatch);
-  for (;;) {
-    batch.clear();
-    std::uint64_t due_timer = 0;
-    bool have_timer = false;
-    {
-      std::unique_lock lock(mutex_);
-      for (;;) {
-        if (stop_requested_) return;
-        if (!mailbox_.empty()) {
-          const std::size_t n = std::min(mailbox_.size(), kMaxBatch);
-          for (std::size_t i = 0; i < n; ++i) {
-            batch.push_back(std::move(mailbox_.front()));
-            mailbox_.pop_front();
-          }
-          break;
-        }
-        // Find the earliest timer deadline.
-        SimTime earliest = 0;
-        std::uint64_t earliest_id = 0;
-        bool any = false;
-        for (const auto& [tid, entry] : timers_) {
-          if (!any || entry.first < earliest) {
-            earliest = entry.first;
-            earliest_id = tid;
-            any = true;
-          }
-        }
-        const SimTime now = runtime_.now();
-        if (any && earliest <= now) {
-          due_timer = earliest_id;
-          timers_.erase(earliest_id);
-          have_timer = true;
-          break;
-        }
-        if (any) {
-          cv_.wait_for(lock, std::chrono::nanoseconds(earliest - now));
-        } else {
-          cv_.wait(lock);
-        }
-      }
-    }
-    proto::Outbox out(actor_->id());
-    if (have_timer) {
-      actor_->on_timer(due_timer, runtime_.now(), out);
-    } else if (batch.size() == 1) {
-      // Single item: deliver without batch brackets so the low-rate path
-      // keeps its original per-message semantics and latency.
-      Item& item = batch.front();
-      if (auto* envelope = std::get_if<proto::Envelope>(&item)) {
-        actor_->on_message(*envelope, runtime_.now(), out);
-      } else {
-        std::get<ActorClosure>(item)(runtime_.now(), out);
-      }
-    } else if (!batch.empty()) {
-      actor_->on_batch_begin(runtime_.now());
-      for (Item& item : batch) {
-        if (auto* envelope = std::get_if<proto::Envelope>(&item)) {
-          actor_->on_message(*envelope, runtime_.now(), out);
-        } else {
-          std::get<ActorClosure>(item)(runtime_.now(), out);
-        }
-      }
-      actor_->on_batch_end(runtime_.now(), out);
-    }
-    dispatch_outbox(out);
+    env_.route(std::move(envelope));
   }
 }
 
@@ -175,8 +249,8 @@ InProcRuntime::~InProcRuntime() { stop_all(); }
 
 ActorHost& InProcRuntime::add(std::unique_ptr<proto::Actor> actor, bool autostart,
                               HostEnv* env) {
-  auto host = std::make_unique<ActorHost>(std::move(actor),
-                                          env != nullptr ? *env : *this);
+  auto host = std::make_unique<ActorHost>(
+      std::move(actor), env != nullptr ? *env : *this, thread_);
   ActorHost& ref = *host;
   {
     const std::unique_lock lock(registry_mutex_);
@@ -189,13 +263,12 @@ ActorHost& InProcRuntime::add(std::unique_ptr<proto::Actor> actor, bool autostar
 
 void InProcRuntime::route(proto::Envelope envelope) {
   TASKLETS_COUNT("net.inproc.routed", 1);
-  ActorHost* target = nullptr;
-  {
-    const std::shared_lock lock(registry_mutex_);
-    const auto it = registry_.find(envelope.to);
-    if (it != registry_.end()) target = it->second;
-  }
-  if (target != nullptr) target->post(std::move(envelope));
+  // Post under the registry lock: stop_all() unpublishes a host under the
+  // exclusive lock before destroying it, so a routed post never reaches a
+  // destroyed host.
+  const std::shared_lock lock(registry_mutex_);
+  const auto it = registry_.find(envelope.to);
+  if (it != registry_.end()) it->second->post(std::move(envelope));
 }
 
 ActorHost* InProcRuntime::find(NodeId id) {
@@ -205,6 +278,10 @@ ActorHost* InProcRuntime::find(NodeId id) {
 }
 
 void InProcRuntime::stop_all() {
+  // Join the runtime thread first: after that no handler runs, and a post
+  // that still arrives only queues. Then unpublish the hosts and destroy
+  // them in reverse creation order; their routes find nothing.
+  thread_.stop();
   std::vector<std::unique_ptr<ActorHost>> hosts;
   {
     const std::unique_lock lock(registry_mutex_);
@@ -212,9 +289,6 @@ void InProcRuntime::stop_all() {
     hosts_.clear();
     registry_.clear();
   }
-  // Destroy in reverse creation order; ~ActorHost joins its thread. Stopped
-  // hosts may still try to route to peers — the registry is already empty,
-  // so those sends drop harmlessly.
   while (!hosts.empty()) hosts.pop_back();
 }
 

@@ -1,11 +1,29 @@
 // Threaded in-process runtime for protocol actors.
 //
-// Each actor gets an ActorHost: a mailbox drained by a dedicated thread, so
-// all handler invocations for one actor are serialized (the actor needs no
-// locking). Hosts exchange envelopes through the shared InProcRuntime
-// registry. Timers are implemented on the mailbox condition variable with
-// re-arm-replaces semantics. Arbitrary closures can be posted into the
-// actor's context — this is how execution services deliver completions.
+// An ActorHost holds one actor with its mailbox and timers; a MailboxThread
+// drains the mailboxes of the hosts it serves. All handler invocations for
+// one host run on its serving thread, one at a time, so the actor needs no
+// locking. Timers are implemented with re-arm-replaces semantics. Arbitrary
+// closures can be posted into the actor's context — this is how execution
+// services deliver completions.
+//
+// InProcRuntime serves all of its hosts from one mailbox thread, named
+// "inproc". A message between two of its actors, or a closure an actor
+// posts to itself, is only enqueued: it wakes no other thread. Only posts
+// from outside the runtime (a caller's submit, a worker's completion) wake
+// the runtime thread. The thread takes ready hosts round-robin, one burst
+// of at most kMaxBatch items per turn, and fires the earliest due timer
+// across its hosts between bursts.
+//
+// The price of the shared thread: a handler or closure must never block on
+// another actor of the same runtime (for example wait on a future that a
+// co-hosted actor fulfils). That actor only runs after the blocking handler
+// returns, so the wait never ends. Long VM work belongs on a provider's
+// worker pool, never on the runtime thread.
+//
+// A standalone ActorHost(actor, env) is served by a mailbox thread of its
+// own, named "actor-<id>", through the same code. TcpRuntime builds its
+// hosts that way, since a TCP node stands for a separate process.
 //
 // Delivery guarantees: reliable, FIFO per sender-receiver pair, no
 // artificial latency (for latency/bandwidth models use the simulator; for
@@ -13,15 +31,19 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <variant>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "proto/actor.hpp"
@@ -48,21 +70,87 @@ class HostEnv {
 // (core::TaskletSystem) swap the wire without caring which one runs.
 class Runtime : public HostEnv {
  public:
-  // Takes ownership of the actor. With autostart (default) the host's
-  // mailbox thread starts immediately; pass false when wiring (e.g. an
-  // execution service) must finish before on_start may send messages, and
-  // call host.start() afterwards. `env` overrides the environment the
-  // host's outbound messages route through — a decorator (net/fault.hpp)
-  // passes itself so it sits on every send while this runtime still owns
-  // the host.
+  // Takes ownership of the actor. With autostart (default) the host starts
+  // immediately; pass false when wiring (e.g. an execution service) must
+  // finish before on_start may send messages, and call host.start()
+  // afterwards. `env` overrides the environment the host's outbound
+  // messages route through — a decorator (net/fault.hpp) passes itself so
+  // it sits on every send while this runtime still owns the host.
   virtual ActorHost& add(std::unique_ptr<proto::Actor> actor,
                          bool autostart = true, HostEnv* env = nullptr) = 0;
   virtual void stop_all() = 0;
 };
 
+// A thread draining the mailboxes of the hosts it serves. The OS thread
+// starts with the first host's start().
+class MailboxThread {
+ public:
+  // Items handled per host turn: a burst amortizes lock traffic and lets
+  // actors (via the batch brackets) and transports (via one outbox flush)
+  // process a submit storm as one unit. Bounded so timers, stop requests
+  // and the other hosts stay responsive under sustained load.
+  static constexpr std::size_t kMaxBatch = 256;
+
+  explicit MailboxThread(std::string name);
+  ~MailboxThread();
+
+  MailboxThread(const MailboxThread&) = delete;
+  MailboxThread& operator=(const MailboxThread&) = delete;
+
+  // Joins the thread. Queued work never runs; hosts must still be stopped
+  // (or destroyed) before this object goes. Idempotent.
+  void stop();
+
+ private:
+  friend class ActorHost;
+  using Item = std::variant<proto::Envelope, ActorClosure>;
+
+  // A pending timer, ordered by deadline. The host and timer id break ties
+  // and make the key unique.
+  struct Timer {
+    SimTime due;
+    ActorHost* host;
+    std::uint64_t timer_id;
+    friend bool operator<(const Timer& a, const Timer& b) noexcept {
+      if (a.due != b.due) return a.due < b.due;
+      if (a.host != b.host) return std::less<>{}(a.host, b.host);
+      return a.timer_id < b.timer_id;
+    }
+  };
+
+  void start(ActorHost& host);
+  void post(ActorHost& host, Item item);
+  void stop(ActorHost& host);
+  void arm(ActorHost& host, const std::vector<proto::TimerRequest>& requests);
+  void run();
+  // Runs one turn of `host`: its on_start, a due timer or a mailbox burst.
+  // Called and returns with `lock` held; releases it while handlers run.
+  void run_turn(std::unique_lock<std::mutex>& lock, ActorHost& host,
+                const std::uint64_t* timer_id);
+
+  std::string name_;
+  SteadyClock clock_;  // timer deadlines, shared by every served host
+  // The items of the running burst; touched by the serving thread only.
+  std::vector<Item> burst_;
+
+  std::mutex mutex_;  // guards everything below and each host's queue state
+  std::condition_variable wake_;       // the thread parks here
+  std::condition_variable turn_done_;  // host stops wait here for a turn
+  std::deque<ActorHost*> ready_;       // hosts with work, in turn order
+  std::set<Timer> timers_;
+  ActorHost* current_ = nullptr;  // host whose handlers are running
+  bool parked_ = false;           // waiting on wake_; a post must notify
+  bool stopping_ = false;
+  std::thread thread_;
+};
+
 class ActorHost {
  public:
-  ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& runtime);
+  // A host served by a mailbox thread of its own.
+  ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& env);
+  // A host served by `thread`, which must outlive it.
+  ActorHost(std::unique_ptr<proto::Actor> actor, HostEnv& env,
+            MailboxThread& thread);
   ~ActorHost();
 
   ActorHost(const ActorHost&) = delete;
@@ -76,38 +164,35 @@ class ActorHost {
   // Runs `fn` in the actor's context (serialized with handlers).
   void post_closure(ActorClosure fn);
 
-  // Starts the mailbox thread and invokes on_start. Idempotent.
+  // Lets the serving thread run on_start, then whatever was posted.
+  // Idempotent.
   void start();
-  // Drains nothing further; joins the thread. Idempotent.
+  // Drops the mailbox and pending timers and refuses later posts. Called
+  // from another thread, it returns only after a handler of this host that
+  // is running has finished; a host with a thread of its own also joins it.
+  // Idempotent; a stopped host never runs again.
   void stop();
 
-  // True when the mailbox is empty and no timer is due — used by tests for
-  // quiescence detection (not a synchronization primitive).
+  // True when the mailbox is empty — used by tests for quiescence
+  // detection (not a synchronization primitive).
   [[nodiscard]] bool idle() const;
 
  private:
-  struct TimerFire {
-    std::uint64_t timer_id;
-    std::uint64_t generation;
-  };
-  using Item = std::variant<proto::Envelope, ActorClosure>;
+  friend class MailboxThread;
+  enum class State : std::uint8_t { kCreated, kStarting, kRunning, kStopped };
 
-  void run_loop();
   void dispatch_outbox(proto::Outbox& out);
-  void arm_timers(std::vector<proto::TimerRequest> requests);
 
   std::unique_ptr<proto::Actor> actor_;
-  HostEnv& runtime_;
+  HostEnv& env_;
+  std::unique_ptr<MailboxThread> own_thread_;  // standalone hosts only
+  MailboxThread& thread_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Item> mailbox_;
-  // timer_id -> (deadline, generation); re-arming bumps the generation.
-  std::map<std::uint64_t, std::pair<SimTime, std::uint64_t>> timers_;
-  std::uint64_t timer_generation_ = 0;
-  bool running_ = false;
-  bool stop_requested_ = false;
-  std::thread thread_;
+  // Guarded by thread_.mutex_.
+  std::deque<MailboxThread::Item> mailbox_;
+  std::map<std::uint64_t, SimTime> timers_;  // timer_id -> deadline
+  State state_ = State::kCreated;
+  bool queued_ = false;  // in thread_.ready_
 };
 
 class InProcRuntime final : public Runtime {
@@ -128,11 +213,13 @@ class InProcRuntime final : public Runtime {
   [[nodiscard]] ActorHost* find(NodeId id);
   [[nodiscard]] SimTime now() const override { return clock_.now(); }
 
-  // Stops all hosts (in reverse creation order).
+  // Joins the runtime thread, then destroys all hosts (in reverse creation
+  // order). Idempotent; the runtime runs nothing afterwards.
   void stop_all() override;
 
  private:
   SteadyClock clock_;
+  MailboxThread thread_{"inproc"};
   mutable std::shared_mutex registry_mutex_;
   std::unordered_map<NodeId, ActorHost*> registry_;
   std::vector<std::unique_ptr<ActorHost>> hosts_;

@@ -13,8 +13,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "core/kernels.hpp"
 #include "core/system.hpp"
@@ -75,6 +77,7 @@ class Recorder final : public proto::Actor {
 
   void on_message(const proto::Envelope& envelope, SimTime,
                   proto::Outbox& out) override {
+    handler_thread_.store(std::this_thread::get_id());
     messages_.fetch_add(1);
     last_from_.store(envelope.from.value());
     if (reply_to_.valid()) {
@@ -92,9 +95,13 @@ class Recorder final : public proto::Actor {
   [[nodiscard]] std::uint64_t last_timer() const { return last_timer_.load(); }
   [[nodiscard]] std::uint64_t last_from() const { return last_from_.load(); }
   [[nodiscard]] bool started() const { return started_; }
+  [[nodiscard]] std::thread::id handler_thread() const {
+    return handler_thread_.load();
+  }
 
  private:
   NodeId reply_to_;
+  std::atomic<std::thread::id> handler_thread_{};
   std::atomic<bool> started_{false};
   std::atomic<int> messages_{0};
   std::atomic<int> timer_fires_{0};
@@ -211,6 +218,144 @@ TEST(InProcTest, RequestReplyPingPong) {
   runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{}});
   auto* recorder_a = static_cast<Recorder*>(&a.actor());
   EXPECT_TRUE(eventually([&] { return recorder_a->messages() == 1; }));
+}
+
+TEST(InProcTest, PostsBeforeStartWaitForOnStart) {
+  InProcRuntime runtime;
+  auto& host = runtime.add(std::make_unique<Recorder>(NodeId{1}),
+                           /*autostart=*/false);
+  auto* recorder = static_cast<Recorder*>(&host.actor());
+  std::atomic<int> ran{0};
+  std::atomic<bool> started_first{false};
+  host.post_closure([&](SimTime, proto::Outbox&) {
+    started_first.store(recorder->started());
+    ran.fetch_add(1);
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_FALSE(recorder->started());
+  host.start();
+  EXPECT_TRUE(eventually([&] { return ran.load() == 1; }));
+  EXPECT_TRUE(started_first.load());
+}
+
+TEST(InProcTest, CoHostedActorsRunOnOneThread) {
+  InProcRuntime runtime;
+  auto& a = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  auto& b = runtime.add(std::make_unique<Recorder>(NodeId{2}));
+  runtime.route(proto::Envelope{NodeId{2}, NodeId{1}, proto::Heartbeat{}});
+  runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{}});
+  auto* recorder_a = static_cast<Recorder*>(&a.actor());
+  auto* recorder_b = static_cast<Recorder*>(&b.actor());
+  ASSERT_TRUE(eventually(
+      [&] { return recorder_a->messages() == 1 && recorder_b->messages() == 1; }));
+  EXPECT_EQ(recorder_a->handler_thread(), recorder_b->handler_thread());
+  EXPECT_NE(recorder_a->handler_thread(), std::this_thread::get_id());
+}
+
+// Notes how many messages `watched` had handled when this actor got its
+// first message.
+class TurnProbe final : public proto::Actor {
+ public:
+  TurnProbe(NodeId id, const Recorder& watched) : Actor(id), watched_(watched) {}
+  void on_start(SimTime, proto::Outbox&) override {}
+  void on_message(const proto::Envelope&, SimTime, proto::Outbox&) override {
+    if (seen_.load() < 0) seen_.store(watched_.messages());
+  }
+  void on_timer(std::uint64_t, SimTime, proto::Outbox&) override {}
+  [[nodiscard]] int seen() const { return seen_.load(); }
+
+ private:
+  const Recorder& watched_;
+  std::atomic<int> seen_{-1};
+};
+
+TEST(InProcTest, ReadyHostsTakeTurnsOneBurstEach) {
+  InProcRuntime runtime;
+  auto& a = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  auto* recorder_a = static_cast<Recorder*>(&a.actor());
+  auto& b = runtime.add(std::make_unique<TurnProbe>(NodeId{2}, *recorder_a));
+  auto* probe = static_cast<TurnProbe*>(&b.actor());
+  auto& c = runtime.add(std::make_unique<Recorder>(NodeId{3}));
+  // A becomes ready before B, with far more than one burst queued: B's
+  // turn comes after exactly one burst of A.
+  constexpr int kFlood = 5000;
+  c.post_closure([](SimTime, proto::Outbox& out) {
+    for (int i = 0; i < kFlood; ++i) out.send(NodeId{1}, proto::Heartbeat{});
+    out.send(NodeId{2}, proto::Heartbeat{});
+  });
+  ASSERT_TRUE(eventually(
+      [&] { return recorder_a->messages() == kFlood && probe->seen() >= 0; }));
+  EXPECT_EQ(probe->seen(), static_cast<int>(MailboxThread::kMaxBatch));
+}
+
+// Appends every timer it sees to a log shared with other actors.
+class TimerLog final : public proto::Actor {
+ public:
+  TimerLog(NodeId id, std::mutex& mutex, std::vector<std::uint64_t>& log)
+      : Actor(id), mutex_(mutex), log_(log) {}
+  void on_start(SimTime, proto::Outbox&) override {}
+  void on_message(const proto::Envelope&, SimTime, proto::Outbox&) override {}
+  void on_timer(std::uint64_t timer_id, SimTime, proto::Outbox&) override {
+    const std::scoped_lock lock(mutex_);
+    log_.push_back(timer_id);
+  }
+
+ private:
+  std::mutex& mutex_;
+  std::vector<std::uint64_t>& log_;
+};
+
+TEST(InProcTest, CoHostedTimersFireInDeadlineOrder) {
+  std::mutex mutex;
+  std::vector<std::uint64_t> log;
+  InProcRuntime runtime;
+  auto& a = runtime.add(std::make_unique<TimerLog>(NodeId{1}, mutex, log));
+  auto& b = runtime.add(std::make_unique<TimerLog>(NodeId{2}, mutex, log));
+  // A's timer 10 is re-armed from 10 ms to 120 ms, so B's 60 ms timer goes
+  // first; B's 180 ms timer goes last.
+  a.post_closure([](SimTime, proto::Outbox& out) {
+    out.arm_timer(10, 10 * kMillisecond);
+    out.arm_timer(10, 120 * kMillisecond);
+  });
+  b.post_closure([](SimTime, proto::Outbox& out) {
+    out.arm_timer(20, 60 * kMillisecond);
+    out.arm_timer(21, 180 * kMillisecond);
+  });
+  const auto fired = [&] {
+    const std::scoped_lock lock(mutex);
+    return log.size();
+  };
+  ASSERT_TRUE(eventually([&] { return fired() == 3; }));
+  std::this_thread::sleep_for(50ms);  // room for a fourth, unexpected fire
+  const std::scoped_lock lock(mutex);
+  EXPECT_EQ(log, (std::vector<std::uint64_t>{20, 10, 21}));
+}
+
+TEST(InProcTest, StopWaitsForRunningClosureAndSparesCoHostedActors) {
+  InProcRuntime runtime;
+  auto& a = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  auto& b = runtime.add(std::make_unique<Recorder>(NodeId{2}));
+  std::promise<void> entered;
+  auto entered_future = entered.get_future();
+  std::atomic<bool> finished{false};
+  a.post_closure([&](SimTime, proto::Outbox&) {
+    entered.set_value();
+    std::this_thread::sleep_for(50ms);
+    finished.store(true);
+  });
+  ASSERT_EQ(entered_future.wait_for(5s), std::future_status::ready);
+  a.stop();
+  EXPECT_TRUE(finished.load());
+
+  std::atomic<bool> late_ran{false};
+  a.post_closure([&](SimTime, proto::Outbox&) { late_ran.store(true); });
+  runtime.route(proto::Envelope{NodeId{2}, NodeId{1}, proto::Heartbeat{}});
+  runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{}});
+  auto* recorder_b = static_cast<Recorder*>(&b.actor());
+  EXPECT_TRUE(eventually([&] { return recorder_b->messages() == 1; }));
+  EXPECT_FALSE(late_ran.load());
+  EXPECT_EQ(static_cast<Recorder*>(&a.actor())->messages(), 0);
 }
 
 // --- TcpRuntime -------------------------------------------------------------------
