@@ -103,6 +103,10 @@ std::map<std::string, std::string, std::less<>>& help_catalog() {
       {"net.tcp.frames_in", "TCP frames received"},
       {"net.tcp.bytes_in", "TCP bytes received"},
       {"net.inproc.routed", "in-process frames routed"},
+      {"net.mailbox.driven",
+       "driving posts that ran a mailbox thread's turns on the caller"},
+      {"net.mailbox.drive_handbacks",
+       "drives that left work for the mailbox thread and woke it"},
       {"net.fault", "injected faults, by action"},
   };
   return *catalog;

@@ -27,10 +27,10 @@ Result<proto::VmBody> compile_tasklet(std::string_view tcl_source,
 //
 // Known-small work skips the pool. When every completed run of a program fit
 // in kInlineFuel and nothing else of this provider is in flight, execute()
-// runs the assignment on the provider's mailbox thread (in-proc, the thread
-// all actors of the runtime share). That removes the mailbox -> worker ->
-// mailbox round trip, two of the four cross-thread hand-offs of an in-proc
-// tasklet, from its path (DESIGN.md section 5).
+// runs the assignment inline, on the thread running the runtime's turns:
+// the mailbox thread all actors of an in-proc runtime share, or a caller
+// whose submit drives them. That removes the turns -> worker -> turns round
+// trip from its path (DESIGN.md section 5).
 class TaskletSystem::ProviderExecution final : public provider::ExecutionService {
  public:
   ProviderExecution(std::shared_ptr<provider::VmExecutor> executor,
@@ -164,8 +164,9 @@ class TaskletSystem::ProviderExecution final : public provider::ExecutionService
   TraceStore* trace_ = nullptr;
   NodeId node_;
   // Attempts passed to execute() whose completion closure has not run yet.
-  // execute() and those closures both run on the owner's mailbox thread, so
-  // the count needs no synchronization.
+  // execute() and those closures both run on the thread running the
+  // runtime's turns, and turns never overlap, so the count needs no
+  // synchronization.
   std::uint32_t outstanding_ = 0;
   ThreadPool pool_;
 };
@@ -242,7 +243,9 @@ TaskletSystem::~TaskletSystem() { stop(); }
 
 void TaskletSystem::stop() {
   {
-    const std::scoped_lock lock(providers_mutex_);
+    // Waits for running submits: after this no submit reaches a host that
+    // stop_all() destroys.
+    const std::unique_lock lock(lifecycle_mutex_);
     if (stopped_) return;
     stopped_ = true;
   }
@@ -322,7 +325,9 @@ std::future<proto::TaskletReport> TaskletSystem::submit(proto::TaskletBody body,
   auto promise = std::make_shared<std::promise<proto::TaskletReport>>();
   std::future<proto::TaskletReport> future = promise->get_future();
   consumer::ConsumerAgent* agent = consumer_;
-  consumer_host_->post_closure(
+  const std::shared_lock lock(lifecycle_mutex_);
+  if (stopped_) return future;  // the promise breaks on return
+  consumer_host_->post_closure_and_drive(
       [agent, spec = std::move(spec), promise](SimTime now,
                                                proto::Outbox& out) mutable {
         agent->submit(std::move(spec),
@@ -347,7 +352,9 @@ std::future<proto::DagStatus> TaskletSystem::submit_dag(
   auto promise = std::make_shared<std::promise<proto::DagStatus>>();
   std::future<proto::DagStatus> future = promise->get_future();
   consumer::ConsumerAgent* agent = consumer_;
-  consumer_host_->post_closure(
+  const std::shared_lock lock(lifecycle_mutex_);
+  if (stopped_) return future;  // the promise breaks on return
+  consumer_host_->post_closure_and_drive(
       [agent, spec = std::move(spec), promise](SimTime now,
                                                proto::Outbox& out) mutable {
         agent->submit_dag(std::move(spec),

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <string_view>
 #include <vector>
 
@@ -94,6 +95,9 @@ class TaskletSystem {
   void drain_provider(NodeId id);
 
   // Submits a tasklet body; the future resolves with the terminal report.
+  // When the runtime is idle, submit may run the runtime's handlers on the
+  // calling thread before it returns (net/inproc.hpp), so a known-small
+  // tasklet's future can already be ready. Thread-safe.
   [[nodiscard]] std::future<proto::TaskletReport> submit(proto::TaskletBody body,
                                                          proto::Qoc qoc = {},
                                                          JobId job = {});
@@ -105,7 +109,8 @@ class TaskletSystem {
   // Submits a dataflow graph (protocol r4): nodes reference each other by
   // index through `inputs` edges, finished results are bound into dependents
   // broker-side. The future resolves with the terminal DagStatus (outputs =
-  // the reports of `outputs` nodes, or every sink when empty).
+  // the reports of `outputs` nodes, or every sink when empty). Like submit,
+  // it may run the runtime's handlers on the calling thread.
   [[nodiscard]] std::future<proto::DagStatus> submit_dag(
       std::vector<dag::DagNode> nodes, proto::Qoc qoc = {},
       std::vector<std::uint32_t> outputs = {});
@@ -168,6 +173,9 @@ class TaskletSystem {
   // Constructed last, stopped first: its admin handlers and sampler reach
   // into the broker host, so it must never outlive the runtime's actors.
   std::unique_ptr<OpsPlane> ops_;
+  // Submits hold it shared while they post and drive; stop() flips
+  // stopped_ under it exclusively.
+  std::shared_mutex lifecycle_mutex_;
   bool stopped_ = false;
 };
 

@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -14,9 +15,14 @@ namespace tasklets::net {
 
 namespace {
 
-// The MailboxThread whose loop runs on the calling thread, if any: a stop()
-// issued from a handler must not wait for that handler to finish.
+// The MailboxThread whose turns run on the calling thread, if any: its
+// serving thread, or a caller while it drives. A post from that thread
+// wakes no one and a driving post only enqueues; a stop() issued from one
+// of its handlers does not wait for that handler to finish.
 thread_local const MailboxThread* t_serving = nullptr;
+
+// The park deadline of a serving thread that waits for a post only.
+constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
 void deliver(proto::Actor& actor, HostEnv& env,
              std::variant<proto::Envelope, ActorClosure>& item, proto::Outbox& out) {
@@ -40,8 +46,10 @@ MailboxThread::~MailboxThread() { stop(); }
 void MailboxThread::stop() {
   std::thread thread;
   {
-    const std::scoped_lock lock(mutex_);
+    std::unique_lock lock(mutex_);
     stopping_ = true;
+    parked_ = false;  // ends the park, and no drive starts from here on
+    if (t_serving != this) turn_done_.wait(lock, [this] { return !driving_; });
     thread = std::move(thread_);
   }
   wake_.notify_all();
@@ -49,37 +57,42 @@ void MailboxThread::stop() {
 }
 
 void MailboxThread::start(ActorHost& host) {
-  bool wake = false;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (host.state_ != ActorHost::State::kCreated) return;
-    host.state_ = ActorHost::State::kStarting;
-    host.queued_ = true;
-    ready_.push_back(&host);
-    if (!thread_.joinable() && !stopping_) {
-      thread_ = std::thread([this] { run(); });
-    } else {
-      wake = std::exchange(parked_, false);
-    }
+  std::unique_lock lock(mutex_);
+  if (host.state_ != ActorHost::State::kCreated) return;
+  host.state_ = ActorHost::State::kStarting;
+  if (make_ready(host)) {
+    unpark(lock);
+  } else if (!thread_.joinable() && !stopping_) {
+    thread_ = std::thread([this] { run(); });
   }
-  if (wake) wake_.notify_one();
 }
 
-void MailboxThread::post(ActorHost& host, Item item) {
-  bool wake = false;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (host.state_ == ActorHost::State::kStopped) return;
-    host.mailbox_.push_back(std::move(item));
-    if (host.state_ != ActorHost::State::kCreated && !host.queued_) {
-      host.queued_ = true;
-      ready_.push_back(&host);
-      // Only a parked thread needs a notify; the serving thread itself
-      // never is, so its own posts cost no wake-up.
-      wake = std::exchange(parked_, false);
-    }
+void MailboxThread::post(ActorHost& host, Item item, bool may_drive) {
+  std::unique_lock lock(mutex_);
+  if (host.state_ == ActorHost::State::kStopped) return;
+  host.mailbox_.push_back(std::move(item));
+  if (host.state_ == ActorHost::State::kCreated || host.queued_) return;
+  if (!make_ready(host)) return;
+  if (may_drive && t_serving == nullptr) {
+    drive(lock);
+  } else {
+    unpark(lock);
   }
-  if (wake) wake_.notify_one();
+}
+
+bool MailboxThread::make_ready(ActorHost& host) {
+  host.queued_ = true;
+  ready_.push_back(&host);
+  // The thread holding the turns is never parked, so a self-post costs no
+  // wake-up. During a drive a post only enqueues: the driver runs it or
+  // hands it back.
+  return parked_ && !driving_;
+}
+
+void MailboxThread::unpark(std::unique_lock<std::mutex>& lock) {
+  parked_ = false;
+  lock.unlock();
+  wake_.notify_one();
 }
 
 void MailboxThread::stop(ActorHost& host) {
@@ -124,35 +137,72 @@ void MailboxThread::run() {
   ::pthread_setname_np(::pthread_self(), name_.substr(0, 15).c_str());
 #endif
   std::unique_lock lock(mutex_);
-  // A due timer and a burst take turns, so neither starves the other.
-  bool timer_next = true;
   while (!stopping_) {
-    const bool timer_due =
-        !timers_.empty() && timers_.begin()->due <= clock_.now();
-    if (timer_due && (timer_next || ready_.empty())) {
-      const Timer timer = *timers_.begin();
-      timers_.erase(timers_.begin());
-      timer.host->timers_.erase(timer.timer_id);
-      run_turn(lock, *timer.host, &timer.timer_id);
-      timer_next = false;
-    } else if (!ready_.empty()) {
-      ActorHost& host = *ready_.front();
-      ready_.pop_front();
-      run_turn(lock, host, nullptr);
-      timer_next = true;
-    } else {
-      const auto has_work = [this] { return stopping_ || !ready_.empty(); };
-      parked_ = true;
-      if (timers_.empty()) {
-        wake_.wait(lock, has_work);
-      } else {
-        wake_.wait_for(lock,
-                       std::chrono::nanoseconds(timers_.begin()->due - clock_.now()),
-                       has_work);
-      }
-      parked_ = false;
-    }
+    // While a caller drives, the turns are its own: wait for the hand-back.
+    if (driving_ || !run_next_turn(lock)) park(lock);
   }
+}
+
+void MailboxThread::park(std::unique_lock<std::mutex>& lock) {
+  // A driver fires due timers itself and hands back if it leaves one due
+  // before this deadline, so a park during a drive has none.
+  park_deadline_ = driving_ || timers_.empty() ? kNoDeadline : timers_.begin()->due;
+  parked_ = true;
+  // Waking also on a cleared flag, not only on a ready host, keeps a
+  // hand-back that only moves the deadline from being swallowed: later
+  // posts would see parked_ false and never notify.
+  const auto woken = [this] { return !parked_; };
+  if (park_deadline_ == kNoDeadline) {
+    wake_.wait(lock, woken);
+  } else {
+    wake_.wait_for(lock, std::chrono::nanoseconds(park_deadline_ - clock_.now()),
+                   woken);
+  }
+  parked_ = false;
+}
+
+bool MailboxThread::run_next_turn(std::unique_lock<std::mutex>& lock) {
+  // A due timer and a burst take turns, so neither starves the other.
+  const bool timer_due =
+      !timers_.empty() && timers_.begin()->due <= clock_.now();
+  if (timer_due && (timer_next_ || ready_.empty())) {
+    const Timer timer = *timers_.begin();
+    timers_.erase(timers_.begin());
+    timer.host->timers_.erase(timer.timer_id);
+    timer_next_ = false;
+    run_turn(lock, *timer.host, &timer.timer_id);
+  } else if (!ready_.empty()) {
+    ActorHost& host = *ready_.front();
+    ready_.pop_front();
+    timer_next_ = true;
+    run_turn(lock, host, nullptr);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void MailboxThread::drive(std::unique_lock<std::mutex>& lock) noexcept {
+  driving_ = true;
+  t_serving = this;
+  std::size_t turns = 0;
+  while (turns < kMaxDrivenTurns && !stopping_ && run_next_turn(lock)) ++turns;
+  t_serving = nullptr;
+  driving_ = false;
+  turn_done_.notify_all();  // a stop() may wait for the drive
+  // Hand back when a host is still ready, or a timer armed during the
+  // drive is due before the park deadline. A thread that woke mid-drive
+  // parked again without a deadline, so then any timer counts.
+  const bool hand_back =
+      parked_ && (!ready_.empty() ||
+                  (!timers_.empty() && timers_.begin()->due < park_deadline_));
+  if (hand_back) {
+    unpark(lock);
+  } else {
+    lock.unlock();
+  }
+  TASKLETS_COUNT("net.mailbox.driven", 1);
+  if (hand_back) TASKLETS_COUNT("net.mailbox.drive_handbacks", 1);
 }
 
 void MailboxThread::run_turn(std::unique_lock<std::mutex>& lock, ActorHost& host,
@@ -217,11 +267,15 @@ ActorHost::~ActorHost() { stop(); }
 NodeId ActorHost::id() const noexcept { return actor_->id(); }
 
 void ActorHost::post(proto::Envelope envelope) {
-  thread_.post(*this, std::move(envelope));
+  thread_.post(*this, std::move(envelope), /*may_drive=*/false);
 }
 
 void ActorHost::post_closure(ActorClosure fn) {
-  thread_.post(*this, std::move(fn));
+  thread_.post(*this, std::move(fn), /*may_drive=*/false);
+}
+
+void ActorHost::post_closure_and_drive(ActorClosure fn) {
+  thread_.post(*this, std::move(fn), /*may_drive=*/true);
 }
 
 void ActorHost::start() { thread_.start(*this); }
@@ -278,9 +332,10 @@ ActorHost* InProcRuntime::find(NodeId id) {
 }
 
 void InProcRuntime::stop_all() {
-  // Join the runtime thread first: after that no handler runs, and a post
-  // that still arrives only queues. Then unpublish the hosts and destroy
-  // them in reverse creation order; their routes find nothing.
+  // Join the runtime thread first, after any running drive: then no handler
+  // runs, and a post that still arrives only queues. Then unpublish the
+  // hosts and destroy them in reverse creation order; their routes find
+  // nothing.
   thread_.stop();
   std::vector<std::unique_ptr<ActorHost>> hosts;
   {

@@ -2,24 +2,34 @@
 //
 // An ActorHost holds one actor with its mailbox and timers; a MailboxThread
 // drains the mailboxes of the hosts it serves. All handler invocations for
-// one host run on its serving thread, one at a time, so the actor needs no
-// locking. Timers are implemented with re-arm-replaces semantics. Arbitrary
-// closures can be posted into the actor's context — this is how execution
-// services deliver completions.
+// one host run one at a time, in turns that never overlap, so the actor
+// needs no locking. Timers are implemented with re-arm-replaces semantics.
+// Arbitrary closures can be posted into the actor's context — this is how
+// execution services deliver completions.
 //
 // InProcRuntime serves all of its hosts from one mailbox thread, named
 // "inproc". A message between two of its actors, or a closure an actor
-// posts to itself, is only enqueued: it wakes no other thread. Only posts
-// from outside the runtime (a caller's submit, a worker's completion) wake
-// the runtime thread. The thread takes ready hosts round-robin, one burst
-// of at most kMaxBatch items per turn, and fires the earliest due timer
-// across its hosts between bursts.
+// posts to itself, is only enqueued: it wakes no other thread. A turn takes
+// the next ready host round-robin and runs one burst of at most kMaxBatch
+// items, or fires the earliest due timer across the hosts between bursts.
 //
-// The price of the shared thread: a handler or closure must never block on
-// another actor of the same runtime (for example wait on a future that a
-// co-hosted actor fulfils). That actor only runs after the blocking handler
-// returns, so the wait never ends. Long VM work belongs on a provider's
-// worker pool, never on the runtime thread.
+// Who runs the turns: the serving thread, or a caller that drives. A
+// driving post (ActorHost::post_closure_and_drive) enqueues like a plain
+// post. If the serving thread is parked and no one else drives, the calling
+// thread then runs the turns itself, through the serving thread's loop
+// body, until nothing is ready or kMaxDrivenTurns turns have run, and wakes
+// the serving thread only if work is left. So a submit to an idle runtime
+// runs to completion on the caller's thread and wakes nobody. A plain post
+// wakes the serving thread only when it is parked and no caller drives;
+// during a drive it only enqueues, and the driver runs it or hands it back.
+//
+// The price of running handlers on whichever thread holds the turn: a
+// handler or closure must never block on another actor of the same runtime
+// (for example wait on a future that a co-hosted actor fulfils). That actor
+// only runs after the blocking handler returns, so the wait never ends. The
+// rule covers callers that drive too, since their turns run the same
+// handlers. Long VM work belongs on a provider's worker pool, never in a
+// turn.
 //
 // A standalone ActorHost(actor, env) is served by a mailbox thread of its
 // own, named "actor-<id>", through the same code. TcpRuntime builds its
@@ -81,8 +91,9 @@ class Runtime : public HostEnv {
   virtual void stop_all() = 0;
 };
 
-// A thread draining the mailboxes of the hosts it serves. The OS thread
-// starts with the first host's start().
+// A thread draining the mailboxes of the hosts it serves, and lending its
+// turns to callers that drive while it is parked. The OS thread starts with
+// the first host's start().
 class MailboxThread {
  public:
   // Items handled per host turn: a burst amortizes lock traffic and lets
@@ -90,6 +101,10 @@ class MailboxThread {
   // process a submit storm as one unit. Bounded so timers, stop requests
   // and the other hosts stay responsive under sustained load.
   static constexpr std::size_t kMaxBatch = 256;
+  // Turns one driving post may run on its caller's thread before it hands
+  // the rest back to the serving thread: bounds how long a submit is
+  // borrowed for other work.
+  static constexpr std::size_t kMaxDrivenTurns = 256;
 
   explicit MailboxThread(std::string name);
   ~MailboxThread();
@@ -97,8 +112,9 @@ class MailboxThread {
   MailboxThread(const MailboxThread&) = delete;
   MailboxThread& operator=(const MailboxThread&) = delete;
 
-  // Joins the thread. Queued work never runs; hosts must still be stopped
-  // (or destroyed) before this object goes. Idempotent.
+  // Waits for a running drive, then joins the thread; no drive starts
+  // afterwards. Queued work never runs; hosts must still be stopped (or
+  // destroyed) before this object goes. Idempotent.
   void stop();
 
  private:
@@ -119,27 +135,51 @@ class MailboxThread {
   };
 
   void start(ActorHost& host);
-  void post(ActorHost& host, Item item);
+  // Enqueues `item`; with `may_drive`, may run the turns on the calling
+  // thread (see the file comment).
+  void post(ActorHost& host, Item item, bool may_drive);
+  // Queues `host` for a turn. True when the serving thread is parked and no
+  // caller drives: then the caller must unpark it or drive.
+  bool make_ready(ActorHost& host);
+  // Clears parked_ and notifies the serving thread. Releases `lock`.
+  void unpark(std::unique_lock<std::mutex>& lock);
   void stop(ActorHost& host);
   void arm(ActorHost& host, const std::vector<proto::TimerRequest>& requests);
   void run();
+  // The loop body the serving thread and a driver share: runs the next
+  // turn, a due timer or a ready host's burst, and returns false when
+  // nothing is ready. Called and returns with `lock` held.
+  bool run_next_turn(std::unique_lock<std::mutex>& lock);
   // Runs one turn of `host`: its on_start, a due timer or a mailbox burst.
   // Called and returns with `lock` held; releases it while handlers run.
   void run_turn(std::unique_lock<std::mutex>& lock, ActorHost& host,
                 const std::uint64_t* timer_id);
+  // Runs turns on the calling thread while the serving thread stays
+  // parked, then wakes it if work is left. Called with `lock` held; returns
+  // with it released. A handler that throws ends the program, as it does
+  // on the serving thread, instead of leaving the drive half done.
+  void drive(std::unique_lock<std::mutex>& lock) noexcept;
+  // Parks the serving thread until a waker clears parked_ or its deadline,
+  // the earliest timer, passes.
+  void park(std::unique_lock<std::mutex>& lock);
 
   std::string name_;
   SteadyClock clock_;  // timer deadlines, shared by every served host
-  // The items of the running burst; touched by the serving thread only.
+  // The items of the running burst; touched by the thread holding the turn.
   std::vector<Item> burst_;
 
   std::mutex mutex_;  // guards everything below and each host's queue state
-  std::condition_variable wake_;       // the thread parks here
-  std::condition_variable turn_done_;  // host stops wait here for a turn
+  std::condition_variable wake_;       // the serving thread parks here
+  std::condition_variable turn_done_;  // stops wait here for a turn or drive
   std::deque<ActorHost*> ready_;       // hosts with work, in turn order
   std::set<Timer> timers_;
   ActorHost* current_ = nullptr;  // host whose handlers are running
-  bool parked_ = false;           // waiting on wake_; a post must notify
+  bool timer_next_ = true;        // a due timer goes before the next burst
+  // The serving thread waits on wake_: a post or a hand-back must clear
+  // this flag and notify, and only then may a caller drive.
+  bool parked_ = false;
+  SimTime park_deadline_ = 0;  // when the parked thread wakes by itself
+  bool driving_ = false;       // a caller is running the turns
   bool stopping_ = false;
   std::thread thread_;
 };
@@ -163,6 +203,11 @@ class ActorHost {
   void post(proto::Envelope envelope);
   // Runs `fn` in the actor's context (serialized with handlers).
   void post_closure(ActorClosure fn);
+  // post_closure, and when the serving thread is parked and no one else
+  // drives, runs the serving thread's turns on the calling thread (at most
+  // MailboxThread::kMaxDrivenTurns) before it returns. From a handler it
+  // only enqueues.
+  void post_closure_and_drive(ActorClosure fn);
 
   // Lets the serving thread run on_start, then whatever was posted.
   // Idempotent.
@@ -213,8 +258,9 @@ class InProcRuntime final : public Runtime {
   [[nodiscard]] ActorHost* find(NodeId id);
   [[nodiscard]] SimTime now() const override { return clock_.now(); }
 
-  // Joins the runtime thread, then destroys all hosts (in reverse creation
-  // order). Idempotent; the runtime runs nothing afterwards.
+  // Waits for a running drive and joins the runtime thread, then destroys
+  // all hosts (in reverse creation order). Idempotent; the runtime runs
+  // nothing afterwards.
   void stop_all() override;
 
  private:

@@ -3,8 +3,12 @@
 // pools, exercising the same protocol stack as the simulator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/kernels.hpp"
 #include "core/system.hpp"
@@ -355,6 +359,70 @@ TEST(SystemIntegration, BusyProviderKeepsSmallWorkOnThePool) {
       << "the long tasklet must still be running";
   EXPECT_EQ(counter("provider.vm.inline"), inline_before);
   EXPECT_EQ(get_or_die(long_future).status, TaskletStatus::kCompleted);
+}
+
+// --- submits that drive the runtime's turns ---------------------------------
+
+TEST(SystemIntegration, KnownSmallSubmitsOnAnIdleSystemReturnReadyFutures) {
+  TaskletSystem system;
+  system.add_provider();
+  const proto::TaskletBody small = fib_body(10);
+  for (int run = 0; run < 10; ++run) {  // history, then inline runs
+    auto future = system.submit(proto::TaskletBody{small});
+    ASSERT_EQ(get_or_die(future).status, TaskletStatus::kCompleted);
+  }
+  // The submit runs the whole chain on this thread when the runtime thread
+  // is parked, so the future is ready when submit returns.
+  int ready = 0;
+  for (int run = 0; run < 100; ++run) {
+    auto future = system.submit(proto::TaskletBody{small});
+    if (future.wait_for(0s) == std::future_status::ready) ++ready;
+    EXPECT_EQ(get_or_die(future).status, TaskletStatus::kCompleted);
+  }
+  EXPECT_GE(ready, 90);
+}
+
+TEST(SystemIntegration, SubmitsRacingStopResolveEveryFuture) {
+  TaskletSystem system;
+  system.add_provider();
+  system.add_provider();
+  const proto::TaskletBody small = fib_body(10);
+  const proto::TaskletBody pool_work = fib_body(16);
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 200;
+  std::vector<std::vector<std::future<proto::TaskletReport>>> futures(kSubmitters);
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t] {
+      started.fetch_add(1);
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        futures[t].push_back(system.submit(
+            proto::TaskletBody{i % 2 == 0 ? small : pool_work}));
+        if (i % 8 == 7) (void)futures[t].back().wait_for(30s);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (started.load() < kSubmitters) std::this_thread::yield();
+    std::this_thread::sleep_for(2ms);
+    system.stop();
+  });
+  for (auto& thread : threads) thread.join();
+
+  int resolved = 0;
+  for (auto& list : futures) {
+    for (auto& future : list) {
+      ASSERT_EQ(future.wait_for(30s), std::future_status::ready) << "hang";
+      try {
+        EXPECT_EQ(future.get().status, TaskletStatus::kCompleted);
+      } catch (const std::future_error& error) {
+        EXPECT_EQ(error.code(), std::future_errc::broken_promise);
+      }
+      ++resolved;
+    }
+  }
+  EXPECT_EQ(resolved, kSubmitters * kPerSubmitter);
 }
 
 TEST(SystemIntegration, CompileTaskletReportsErrorsWithPositions) {

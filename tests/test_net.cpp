@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -356,6 +358,122 @@ TEST(InProcTest, StopWaitsForRunningClosureAndSparesCoHostedActors) {
   EXPECT_TRUE(eventually([&] { return recorder_b->messages() == 1; }));
   EXPECT_FALSE(late_ran.load());
   EXPECT_EQ(static_cast<Recorder*>(&a.actor())->messages(), 0);
+}
+
+// Posts driving closures into `host` until one runs on the calling thread.
+// Then the host's mailbox thread is parked, and it stays parked until the
+// next post. False if it never parks.
+bool drive_until_parked(ActorHost& host) {
+  for (int attempt = 0; attempt < 5000; ++attempt) {
+    auto ran_on = std::make_shared<std::promise<std::thread::id>>();
+    auto future = ran_on->get_future();
+    host.post_closure_and_drive([ran_on](SimTime, proto::Outbox&) {
+      ran_on->set_value(std::this_thread::get_id());
+    });
+    if (future.get() == std::this_thread::get_id()) return true;
+    std::this_thread::sleep_for(1ms);
+  }
+  return false;
+}
+
+std::uint64_t counter(std::string_view name) {
+  return metrics::MetricsRegistry::instance().snapshot().counter(name);
+}
+
+TEST(InProcTest, DrivenPostRunsTheTurnsOnTheCallingThreadWhenIdle) {
+  InProcRuntime runtime;
+  auto& a = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  auto& b = runtime.add(std::make_unique<Recorder>(NodeId{2}));
+  auto* recorder_b = static_cast<Recorder*>(&b.actor());
+  ASSERT_TRUE(drive_until_parked(a));
+  const std::uint64_t driven = counter("net.mailbox.driven");
+  std::atomic<std::thread::id> closure_thread{};
+  a.post_closure_and_drive([&](SimTime, proto::Outbox& out) {
+    closure_thread.store(std::this_thread::get_id());
+    out.send(NodeId{2}, proto::Heartbeat{});
+  });
+  // The closure and the co-hosted handler it fed both ran before the post
+  // returned, on this thread.
+  EXPECT_EQ(closure_thread.load(), std::this_thread::get_id());
+  EXPECT_EQ(recorder_b->messages(), 1);
+  EXPECT_EQ(recorder_b->handler_thread(), std::this_thread::get_id());
+  EXPECT_EQ(counter("net.mailbox.driven"), driven + 1);
+}
+
+TEST(InProcTest, DrivenPostOnlyEnqueuesWhileTheThreadIsBusy) {
+  InProcRuntime runtime;
+  auto& host = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  std::latch open(1);
+  auto blocked_on = std::make_shared<std::promise<std::thread::id>>();
+  auto blocked_future = blocked_on->get_future();
+  host.post_closure([&open, blocked_on](SimTime, proto::Outbox&) {
+    blocked_on->set_value(std::this_thread::get_id());
+    open.wait();
+  });
+  const std::thread::id runtime_thread = blocked_future.get();
+
+  auto ran_on = std::make_shared<std::promise<std::thread::id>>();
+  auto ran_future = ran_on->get_future();
+  auto posted = std::async(std::launch::async, [&host, ran_on] {
+    host.post_closure_and_drive([ran_on](SimTime, proto::Outbox&) {
+      ran_on->set_value(std::this_thread::get_id());
+    });
+  });
+  const bool returned = posted.wait_for(1s) == std::future_status::ready;
+  const bool ran_early = ran_future.wait_for(0s) == std::future_status::ready;
+  open.count_down();
+  EXPECT_TRUE(returned);
+  EXPECT_FALSE(ran_early);
+  ASSERT_EQ(ran_future.wait_for(5s), std::future_status::ready);
+  EXPECT_EQ(ran_future.get(), runtime_thread);
+}
+
+// The environment of a standalone host: a clock, and routes to nowhere.
+class ClockEnv final : public HostEnv {
+ public:
+  void route(proto::Envelope) override {}
+  [[nodiscard]] SimTime now() const override { return clock_.now(); }
+
+ private:
+  SteadyClock clock_;
+};
+
+TEST(InProcTest, TimerArmedByADriveWakesAThreadParkedWithoutOne) {
+  ClockEnv env;
+  ActorHost host(std::make_unique<Recorder>(NodeId{1}), env);
+  host.start();
+  auto* recorder = static_cast<Recorder*>(&host.actor());
+  ASSERT_TRUE(drive_until_parked(host));
+  // The host's thread parked with no timer; the drive's hand-back must move
+  // its deadline, and must not leave it deaf to later posts.
+  host.post_closure_and_drive([](SimTime, proto::Outbox& out) {
+    out.arm_timer(7, 5 * kMillisecond);
+  });
+  EXPECT_TRUE(eventually([&] { return recorder->timer_fires() == 1; }, 1000ms));
+  host.post(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{}});
+  EXPECT_TRUE(eventually([&] { return recorder->messages() == 1; }));
+}
+
+TEST(InProcTest, DriveRunsAtMostTheBoundThenHandsBack) {
+  InProcRuntime runtime;
+  auto& host = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  ASSERT_TRUE(drive_until_parked(host));
+  const std::uint64_t handbacks = counter("net.mailbox.drive_handbacks");
+  constexpr int kRuns = 1000;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  std::atomic<int> on_caller{0};
+  // Each run re-posts the closure, so each is a turn of its own.
+  ActorClosure step = [&](SimTime, proto::Outbox&) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    if (ran.fetch_add(1) + 1 < kRuns) host.post_closure(step);
+  };
+  host.post_closure_and_drive(step);
+  EXPECT_GT(on_caller.load(), 0);
+  EXPECT_LE(on_caller.load(), static_cast<int>(MailboxThread::kMaxDrivenTurns));
+  EXPECT_TRUE(eventually([&] { return ran.load() == kRuns; }));
+  EXPECT_LE(on_caller.load(), static_cast<int>(MailboxThread::kMaxDrivenTurns));
+  EXPECT_EQ(counter("net.mailbox.drive_handbacks"), handbacks + 1);
 }
 
 // --- TcpRuntime -------------------------------------------------------------------
