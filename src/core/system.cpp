@@ -78,9 +78,10 @@ class TaskletSystem::ProviderExecution final : public provider::ExecutionService
  private:
   // Both inline constants are sized from the measured cross-core hand-off
   // (~10 us, net.inproc.hop_p50_us on a 4-CPU host) and the VM's slowest
-  // kernel class (~220 Mfuel/s on call-heavy code). kInlineFuel is about
-  // 20 us of VM work, what the two saved hand-offs cost. kInlineCapFuel is
-  // the most a mispredicted inline run may hold the mailbox before the pool
+  // kernel class (~170 Mfuel/s on call-heavy code: bench_vm fib20, pinned,
+  // same host, EXPERIMENTS.md E7). kInlineFuel is about 30 us of VM work,
+  // a little more than the two saved hand-offs cost. kInlineCapFuel is the
+  // most a mispredicted inline run may hold the mailbox before the pool
   // takes over its suspended machine.
   static constexpr std::uint64_t kInlineFuel = 5'000;
   static constexpr std::uint64_t kInlineCapFuel = 2 * kInlineFuel;

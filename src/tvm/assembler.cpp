@@ -23,6 +23,14 @@ struct Fixup {
   std::size_t line;
 };
 
+// A `push_f` operand (IEEE-754 bits) as a round-trippable literal.
+std::string float_literal(std::int64_t bits) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g",
+                std::bit_cast<double>(static_cast<std::uint64_t>(bits)));
+  return buf;
+}
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
   while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
@@ -252,6 +260,57 @@ Result<Program> assemble(std::string_view source) {
   return program;
 }
 
+std::string plan_listing(const Program& program, const ExecPlan& plan) {
+  static constexpr std::string_view kTagNames[] = {"int", "float", "array",
+                                                   "any"};
+  std::ostringstream out;
+  for (std::uint32_t f = 0; f < program.function_count(); ++f) {
+    const Function& fn = program.function(f);
+    const FunctionPlan& fp = plan.functions[f];
+    out << ".func " << fn.name << '(';
+    for (std::size_t i = 0; i < fp.param_tags.size(); ++i) {
+      out << (i == 0 ? "" : ", ")
+          << kTagNames[static_cast<std::size_t>(fp.param_tags[i])];
+    }
+    out << ") locals=" << fn.num_locals << '\n';
+    std::size_t fused_until = 0;  // end of the fused window covering ip
+    for (std::size_t ip = 0; ip < fn.code.size(); ++ip) {
+      const std::uint32_t b = fp.block_of[ip];
+      if (b == kNoBlock) {
+        out << "  " << ip << "  unreachable\n";
+        continue;
+      }
+      const BlockInfo& block = fp.blocks[b];
+      if (block.begin == ip) {
+        out << " block " << b << ": fuel=" << block.base_fuel
+            << " depth=" << block.max_depth
+            << (block.variable_fuel ? " variable_fuel" : "") << '\n';
+      }
+      const Instr& instr = fn.code[ip];
+      std::string text(op_info(instr.op).name);
+      if (instr.op == OpCode::kPushFloat) {
+        text += ' ' + float_literal(instr.operand);
+      } else if (op_info(instr.op).has_operand) {
+        text += ' ' + std::to_string(instr.operand);
+      }
+      std::string runs_as;
+      if (ip < fused_until) {
+        runs_as = "(fused)";
+      } else if (fp.quick[ip].op != instr.op) {
+        runs_as = vm_op_name(fp.quick[ip].op);
+        fused_until = ip + vm_op_slots(fp.quick[ip].op);
+      }
+      char line[128];
+      std::snprintf(line, sizeof line, "  %4zu  %-20s  %s", ip, text.c_str(),
+                    runs_as.c_str());
+      std::string_view trimmed(line);
+      out << trimmed.substr(0, trimmed.find_last_not_of(' ') + 1) << '\n';
+    }
+    out << ".end\n";
+  }
+  return out.str();
+}
+
 std::string disassemble(const Program& program) {
   std::ostringstream out;
   for (std::uint32_t f = 0; f < program.function_count(); ++f) {
@@ -277,14 +336,9 @@ std::string disassemble(const Program& program) {
       out << "  " << info.name;
       if (info.has_operand) {
         switch (instr.op) {
-          case OpCode::kPushFloat: {
-            const double v =
-                std::bit_cast<double>(static_cast<std::uint64_t>(instr.operand));
-            char buf[40];
-            std::snprintf(buf, sizeof buf, "%.17g", v);
-            out << ' ' << buf;
+          case OpCode::kPushFloat:
+            out << ' ' << float_literal(instr.operand);
             break;
-          }
           case OpCode::kIntrinsic:
             out << ' '
                 << intrinsic_info(static_cast<Intrinsic>(instr.operand)).name;

@@ -36,4 +36,11 @@ namespace tasklets::tvm {
 // Round-trippable listing of a program (assemble(disassemble(p)) == p).
 [[nodiscard]] std::string disassemble(const Program& program);
 
+// What analyze() made of `program` (not round-trippable): per function its
+// speculated parameter tags, each block's leader with its proven fuel and
+// stack growth, and at each ip the quickened or fused op the fast engine
+// dispatches (vm_op_name) where it differs from the bytecode.
+[[nodiscard]] std::string plan_listing(const Program& program,
+                                       const ExecPlan& plan);
+
 }  // namespace tasklets::tvm

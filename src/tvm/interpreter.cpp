@@ -26,12 +26,38 @@ namespace tasklets::tvm {
 
 namespace {
 
+// How the fast engine may run a frame (the frame rule, interpreter.hpp).
+enum class FrameMode : std::uint8_t {
+  kFast,     // state matched the plan's tags: runs quickened code
+  kChecked,  // state contradicted the plan: reference stepper until return
+  kPending,  // restored from a snapshot: decided at its next block entry
+};
+
 struct Frame {
   const Function* fn = nullptr;
   std::uint32_t fn_idx = 0;  // index of `fn` in the program
+  FrameMode mode = FrameMode::kFast;
   std::size_t ip = 0;
   std::size_t locals_base = 0;
 };
+
+static_assert(static_cast<int>(SlotTag::kInt) == static_cast<int>(ValueTag::kInt) &&
+                  static_cast<int>(SlotTag::kFloat) ==
+                      static_cast<int>(ValueTag::kFloat) &&
+                  static_cast<int>(SlotTag::kArray) ==
+                      static_cast<int>(ValueTag::kArray),
+              "SlotTag must mirror ValueTag");
+
+// Whether each of `n` values carries the tag proven (or speculated) for it.
+bool tags_admit(const SlotTag* tags, const Value* values, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tags[i] != SlotTag::kAny &&
+        static_cast<ValueTag>(tags[i]) != values[i].tag()) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // Raw-buffer operand stack. The fast-path engine runs a proven basic block
 // through a bare Value* cursor with no per-push checks (capacity is
@@ -44,6 +70,7 @@ class OperandStack {
   [[nodiscard]] const Value* begin() const noexcept { return data_.get(); }
   [[nodiscard]] const Value* end() const noexcept { return data_.get() + size_; }
   [[nodiscard]] Value& back() noexcept { return data_[size_ - 1]; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
   void reserve(std::size_t cap) {
     if (cap > cap_) grow(cap);
@@ -214,6 +241,10 @@ class Machine {
   // Runs fast-path blocks until halt, trap, or fuel_used_ >= `target` at an
   // instruction boundary (sets `suspended` in the latter case).
   Status run_fast(std::uint64_t target, bool& suspended);
+  // Whether the top frame's locals and operand stack carry the tags the
+  // plan proved at the entry of block `block_idx`.
+  [[nodiscard]] bool entry_matches(const FunctionPlan& fplan,
+                                   std::uint32_t block_idx) const;
 
   const Program& program_;
   const ExecLimits& limits_;
@@ -260,6 +291,11 @@ Status Machine::enter(std::uint32_t fn_idx, bool from_host,
     for (std::uint32_t i = fn.arity; i-- > 0;) {
       locals_[frame.locals_base + i] = pop();
     }
+  }
+  if (plan_ != nullptr &&
+      !tags_admit(plan_->functions[fn_idx].param_tags.data(),
+                  locals_.data() + frame.locals_base, fn.arity)) {
+    frame.mode = FrameMode::kChecked;
   }
   frames_.push_back(frame);
   peak_depth_ = std::max(peak_depth_, static_cast<std::uint32_t>(frames_.size()));
@@ -637,14 +673,18 @@ Status Machine::step() {
 // with the reference stepper's per-instruction fuel and stack-limit checks
 // hoisted to block entry. Exact parity with the reference stepper is by
 // construction: a block runs fast only when the plan proves it cannot trap
-// on fuel or stack and cannot cross `target` mid-block; every other case —
-// data-dependent fuel (kNewArray), a possible mid-block fuel/stack trap or
-// slice-target crossing, a mid-block resume point after snapshot restore —
-// drains through single checked reference steps, which re-evaluate the fast
-// conditions at the next boundary. Fuel and instruction counters are
-// charged when a block completes; a mid-block trap discards the machine, so
-// only the trap's code and message (which carry the exact instruction
-// index) are observable and both are reproduced exactly.
+// on fuel or stack and cannot cross `target` mid-block, and only in a frame
+// whose state matched the plan's tags (the frame rule, interpreter.hpp);
+// every other case — data-dependent fuel (kNewArray), a possible mid-block
+// fuel/stack trap or slice-target crossing, a mid-block resume point after
+// snapshot restore, a checked frame — drains through single checked
+// reference steps, which re-evaluate the fast conditions at the next
+// boundary. A retired block chains into its successor without returning to
+// the loop head when the successor passes the same checks. Fuel and
+// instruction counters are charged when a block completes; a mid-block trap
+// discards the machine, so only the trap's code and message (which carry
+// the exact instruction index) are observable and both are reproduced
+// exactly.
 
 // Type-checked pops for un-quickened opcodes inside a fast block; trap
 // messages match the reference stepper's pop_int/pop_float/pop_array.
@@ -760,6 +800,20 @@ Status Machine::step() {
 #define TASKLETS_NEXT() goto fast_dispatch
 #endif
 
+bool Machine::entry_matches(const FunctionPlan& fplan,
+                            std::uint32_t block_idx) const {
+  const Frame& frame = frames_.back();
+  const auto& tags = fplan.entry_tags[block_idx];
+  const std::size_t num_locals = frame.fn->num_locals;
+  if (tags.size() < num_locals || tags.size() - num_locals > stack_.size()) {
+    return false;
+  }
+  const std::size_t depth = tags.size() - num_locals;
+  return tags_admit(tags.data(), locals_.data() + frame.locals_base,
+                    num_locals) &&
+         tags_admit(tags.data() + num_locals, stack_.end() - depth, depth);
+}
+
 Status Machine::run_fast(std::uint64_t target, bool& suspended) {
   suspended = false;
 #if TASKLETS_COMPUTED_GOTO
@@ -770,25 +824,38 @@ Status Machine::run_fast(std::uint64_t target, bool& suspended) {
 #undef TASKLETS_LABEL_ADDR
   };
 #endif
+  // A block runs fast only when its full fuel fits under both the fuel
+  // limit and the slice target (fuel_used_ + base_fuel <= fuel_cap), it
+  // has no data-dependent fuel, and its stack growth stays under the limit;
+  // otherwise it could trap or suspend mid-block.
+  const std::uint64_t fuel_cap = std::min(limits_.max_fuel, target - 1);
+  auto runnable = [&](const BlockInfo& b, std::size_t depth) {
+    return !b.variable_fuel && fuel_used_ <= fuel_cap &&
+           b.base_fuel <= fuel_cap - fuel_used_ &&
+           depth + b.max_depth < limits_.max_operand_stack;
+  };
   while (!halted_) {
+    if (fuel_used_ >= target) {
+      suspended = true;
+      return Status::ok();
+    }
     Frame& frame = frames_.back();
     const FunctionPlan& fplan = plan_->functions[frame.fn_idx];
     std::size_t ip = frame.ip;
     const std::uint32_t block_idx = fplan.block_of[ip];
     const BlockInfo* block =
-        block_idx == kNoBlock ? nullptr : &fplan.blocks[block_idx];
-    if (fuel_used_ >= target) {
-      suspended = true;
-      return Status::ok();
+        block_idx != kNoBlock && fplan.blocks[block_idx].begin == ip
+            ? &fplan.blocks[block_idx]
+            : nullptr;  // unreachable code or a mid-block resume point
+    if (block != nullptr && frame.mode == FrameMode::kPending) {
+      frame.mode = entry_matches(fplan, block_idx) ? FrameMode::kFast
+                                                   : FrameMode::kChecked;
     }
-    if (block == nullptr || block->begin != ip ||  // mid-block resume point
-        block->variable_fuel ||                    // kNewArray: dynamic fuel
-        fuel_used_ > limits_.max_fuel ||           // kCall overshoot pending
-        block->base_fuel > limits_.max_fuel - fuel_used_ ||  // mid-block trap
-        block->base_fuel >= target - fuel_used_ ||  // mid-block suspension
-        stack_.size() + block->max_depth >= limits_.max_operand_stack) {
+    if (block == nullptr || frame.mode != FrameMode::kFast ||
+        !runnable(*block, stack_.size())) {
       // One checked reference step; conditions re-evaluate at the next
-      // boundary, so this lane drains exactly as far as it has to.
+      // boundary, so this lane drains exactly as far as it has to (or, for
+      // a checked frame, until it returns).
       TASKLETS_RETURN_IF_ERROR(step());
       continue;
     }
@@ -800,7 +867,7 @@ Status Machine::run_fast(std::uint64_t target, bool& suspended) {
     const Function& fn = *frame.fn;
     Value* const locals = locals_.data() + frame.locals_base;
     Value* sp = stack_.data() + stack_.size();
-    const std::size_t block_end = block->end;
+    std::size_t block_end = block->end;
     Instr cur;
     auto fast_trap = [&fn](StatusCode code_, std::string what,
                            std::size_t trap_ip) {
@@ -809,10 +876,11 @@ Status Machine::run_fast(std::uint64_t target, bool& suspended) {
                                    std::to_string(trap_ip));
     };
 
+    // Block entry, also reached by chaining from the previous block.
+  fast_dispatch:
 #if TASKLETS_COMPUTED_GOTO
     TASKLETS_NEXT();
 #else
-  fast_dispatch:
     if (ip == block_end) goto fast_block_done;
     cur = code[ip];
     switch (cur.op) {
@@ -1287,6 +1355,64 @@ Status Machine::run_fast(std::uint64_t target, bool& suspended) {
       TASKLETS_NEXT();
     }
 
+    // --- quickened: 4-slot windows over proven ints -------------------------
+    // Operands come from the window's slots: WLOCAL(k) is the local named by
+    // slot k, WIMM(k) slot k's immediate.
+#define TASKLETS_WLOCAL(k) locals[static_cast<std::size_t>(code[ip + (k)].operand)]
+#define TASKLETS_WIMM(k) code[ip + (k)].operand
+    // Compare-and-branch: falls through when the compare holds, else takes
+    // the jz target (slot 3).
+#define TASKLETS_FAST_CMP_JZ(cmp, op)                                         \
+  TASKLETS_OP(kCmp##cmp##JzLLU) : {                                           \
+    const std::int64_t a = TASKLETS_WLOCAL(0).as_int();                       \
+    const std::int64_t b = TASKLETS_WLOCAL(1).as_int();                       \
+    ip = a op b ? ip + 4 : static_cast<std::size_t>(TASKLETS_WIMM(3));       \
+    goto fast_block_done;                                                     \
+  }                                                                           \
+  TASKLETS_OP(kCmp##cmp##JzLIU) : {                                           \
+    const std::int64_t a = TASKLETS_WLOCAL(0).as_int();                       \
+    const std::int64_t b = TASKLETS_WIMM(1);                                  \
+    ip = a op b ? ip + 4 : static_cast<std::size_t>(TASKLETS_WIMM(3));       \
+    goto fast_block_done;                                                     \
+  }
+    TASKLETS_FAST_CMP_JZ(Eq, ==)
+    TASKLETS_FAST_CMP_JZ(Ne, !=)
+    TASKLETS_FAST_CMP_JZ(Lt, <)
+    TASKLETS_FAST_CMP_JZ(Le, <=)
+    TASKLETS_FAST_CMP_JZ(Gt, >)
+    TASKLETS_FAST_CMP_JZ(Ge, >=)
+#undef TASKLETS_FAST_CMP_JZ
+
+    // Three-address add/sub into the local named by slot 3.
+#define TASKLETS_FAST_STORE3(name, rhs, expr)                                 \
+  TASKLETS_OP(name) : {                                                       \
+    const auto a = static_cast<std::uint64_t>(TASKLETS_WLOCAL(0).as_int());   \
+    const auto b = static_cast<std::uint64_t>(rhs);                           \
+    TASKLETS_WLOCAL(3) = Value::from_int(static_cast<std::int64_t>(expr));    \
+    ip += 4;                                                                  \
+    TASKLETS_NEXT();                                                          \
+  }
+    TASKLETS_FAST_STORE3(kAddStoreLLU, TASKLETS_WLOCAL(1).as_int(), a + b)
+    TASKLETS_FAST_STORE3(kAddStoreLIU, TASKLETS_WIMM(1), a + b)
+    TASKLETS_FAST_STORE3(kSubStoreLLU, TASKLETS_WLOCAL(1).as_int(), a - b)
+    TASKLETS_FAST_STORE3(kSubStoreLIU, TASKLETS_WIMM(1), a - b)
+#undef TASKLETS_FAST_STORE3
+
+    TASKLETS_OP(kArrayStoreLLIU) : {
+      auto& cells = heap_[TASKLETS_WLOCAL(0).as_array()];
+      const std::int64_t idx = TASKLETS_WLOCAL(1).as_int();
+      if (idx < 0 || static_cast<std::size_t>(idx) >= cells.size()) {
+        // The trap site is the fused astore, three slots past the start.
+        return fast_trap(StatusCode::kAborted, "array index out of bounds",
+                         ip + 3);
+      }
+      cells[static_cast<std::size_t>(idx)] = Value::from_int(TASKLETS_WIMM(2));
+      ip += 4;
+      TASKLETS_NEXT();
+    }
+#undef TASKLETS_WLOCAL
+#undef TASKLETS_WIMM
+
 #if !TASKLETS_COMPUTED_GOTO
     default:
       return fast_trap(StatusCode::kInternal, "fast-path dispatch mismatch",
@@ -1295,12 +1421,24 @@ Status Machine::run_fast(std::uint64_t target, bool& suspended) {
 #endif
 
   fast_block_done:
-    // Whole block retired (fallthrough or branch): publish the cursor and
-    // charge the proven block totals in one shot.
-    stack_.set_size(static_cast<std::size_t>(sp - stack_.data()));
-    frame.ip = ip;
+    // Whole block retired (fallthrough or branch): charge the proven block
+    // totals in one shot, then chain straight into the next block of this
+    // frame (`ip` is its leader) when it passes the same entry conditions
+    // and fits the reserved stack.
     fuel_used_ += block->base_fuel;
     instructions_ += block->end - block->begin;
+    {
+      const BlockInfo* next = &fplan.blocks[fplan.block_of[ip]];
+      const auto depth = static_cast<std::size_t>(sp - stack_.data());
+      if (runnable(*next, depth) &&
+          depth + next->max_depth + 2 <= stack_.capacity()) {
+        block = next;
+        block_end = next->end;
+        goto fast_dispatch;
+      }
+      stack_.set_size(depth);
+    }
+    frame.ip = ip;
     continue;
 
   fast_block_call:
@@ -1543,6 +1681,9 @@ Status Machine::restore(std::span<const std::byte> snapshot_bytes) {
     frame.fn_idx = static_cast<std::uint32_t>(fn_idx);
     frame.ip = static_cast<std::size_t>(ip);
     frame.locals_base = static_cast<std::size_t>(locals_base);
+    // Restore checks shapes, not value tags: the fast engine decides at
+    // the frame's next block entry whether its state matches the plan.
+    frame.mode = FrameMode::kPending;
     frames_.push_back(frame);
     frame_meta.emplace_back(static_cast<std::uint32_t>(fn_idx),
                             static_cast<std::size_t>(ip));

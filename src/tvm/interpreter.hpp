@@ -68,9 +68,17 @@ struct ExecProfile {
 //     (verifier.hpp::analyze). Fuel and stack-limit checks are hoisted to
 //     block entry using the plan's proven worst-case block facts, and
 //     instructions whose operand tags the verifier proved are executed in
-//     quickened/fused form. Blocks the plan cannot bound (data-dependent
-//     fuel, possible mid-block fuel/stack trap or slice-target crossing,
-//     mid-block resume points) drain through the reference stepper.
+//     quickened/fused form. A retired block chains straight into the next
+//     block of its frame when that block passes the same entry checks.
+//     Blocks the plan cannot bound (data-dependent fuel, possible mid-block
+//     fuel/stack trap or slice-target crossing, mid-block resume points)
+//     drain through the reference stepper.
+//
+// The frame rule. The plan's tags are proven from a speculated tag per
+// parameter, so a frame runs quickened code only once its state has matched
+// them: its arguments on function entry, or, for a frame restored from a
+// snapshot, its locals and operand stack at the first block entry it
+// reaches. Any other frame runs on the reference stepper until it returns.
 //
 // Observable behavior is bit-identical between engines: results,
 // `fuel_used`, `instructions`, trap codes/messages/sites, suspension points
@@ -128,13 +136,17 @@ struct ExecOptions {
 // bit-exactly where it stopped, which is what device-to-device tasklet
 // migration needs.
 //
-// Restore validates untrusted snapshot bytes rigorously before the
-// interpreter touches them: structural decoding, program-hash binding,
-// call-chain consistency (every suspended caller sits right after a kCall to
-// the next frame's function), operand-stack depth proven against the
-// verifier's per-instruction depth map, array-handle range checks and
-// resource limits. A forged or corrupted snapshot is rejected with
-// kDataLoss/kInvalidArgument; it cannot reach unsafe interpreter states.
+// Restore validates untrusted snapshot bytes before the interpreter touches
+// them: structural decoding, program-hash binding, call-chain consistency
+// (every suspended caller sits right after a kCall to the next frame's
+// function), operand-stack depth proven against the verifier's
+// per-instruction depth map, array-handle range checks and resource limits.
+// A snapshot failing these is rejected with kDataLoss/kInvalidArgument.
+// Value tags are not checked at restore: a snapshot whose tags are forged
+// but well-formed is accepted, and the frame rule above keeps each restored
+// frame on the checked reference stepper unless its state matches the
+// plan's proven tags at a block entry. Such a snapshot therefore traps (or
+// completes) exactly as under kReference.
 
 struct Suspension {
   Bytes state;                  // opaque "TSNP" encoding of the machine

@@ -115,6 +115,15 @@ std::string_view vm_op_name(OpCode op) noexcept {
   return "?";
 }
 
+std::size_t vm_op_slots(OpCode op) noexcept {
+  // Fused families are contiguous in TASKLETS_QUICKENED_OPS.
+  auto in = [op](OpCode first, OpCode last) { return op >= first && op <= last; };
+  if (in(OpCode::kAddIntImmU, OpCode::kLoadLocal2)) return 2;
+  if (in(OpCode::kArrayLoadLLU, OpCode::kArrayLoadLLC)) return 3;
+  if (in(OpCode::kCmpEqJzLLU, OpCode::kArrayStoreLLIU)) return 4;
+  return 1;
+}
+
 const OpInfo& op_info(OpCode op) noexcept {
   return kOpTable[static_cast<std::size_t>(op)];
 }

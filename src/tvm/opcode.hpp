@@ -6,6 +6,7 @@
 // library. Every instruction carries one optional 64-bit operand.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -65,7 +66,19 @@ namespace tasklets::tvm {
   /* fused `load ref; load idx; aload`: operand = ref | idx<<32, 3 slots; */  \
   /* LLU = tags proven, LLC = tag-checked at runtime with exact trap */       \
   /* message parity against the reference stepper */                          \
-  X(kArrayLoadLLU) X(kArrayLoadLLC)
+  X(kArrayLoadLLU) X(kArrayLoadLLC)                                           \
+  /* 4-slot windows over proven ints; the handler reads its extra operands */ \
+  /* from the window's later slots. Compare-and-branch: fused `load a; */     \
+  /* load b|push_i k; cmp_<c>_iU; jz_U` (LL = two locals, LI = local and */   \
+  /* immediate), a block terminator */                                        \
+  X(kCmpEqJzLLU) X(kCmpNeJzLLU) X(kCmpLtJzLLU) X(kCmpLeJzLLU)                 \
+  X(kCmpGtJzLLU) X(kCmpGeJzLLU)                                               \
+  X(kCmpEqJzLIU) X(kCmpNeJzLIU) X(kCmpLtJzLIU) X(kCmpLeJzLIU)                 \
+  X(kCmpGtJzLIU) X(kCmpGeJzLIU)                                               \
+  /* three-address `load a; load b|push_i k; add_iU|sub_iU; store c` */       \
+  X(kAddStoreLLU) X(kAddStoreLIU) X(kSubStoreLLU) X(kSubStoreLIU)             \
+  /* `load r; load i; push_i k; astore_U`: trap site at the astore (+3) */    \
+  X(kArrayStoreLLIU)
 
 #define TASKLETS_DECLARE_OP(name) name,
 
@@ -222,5 +235,8 @@ struct OpInfo {
 // render their assembler mnemonic; quickened ones their enumerator name).
 // For plan listings and fast-engine debugging only.
 [[nodiscard]] std::string_view vm_op_name(OpCode op) noexcept;
+
+// Code slots a dispatchable opcode covers: 1, or its fused window's width.
+[[nodiscard]] std::size_t vm_op_slots(OpCode op) noexcept;
 
 }  // namespace tasklets::tvm

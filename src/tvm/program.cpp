@@ -109,9 +109,12 @@ Result<Program> Program::deserialize(std::span<const std::byte> data) {
 bool ExecPlan::compatible_with(const Program& program) const noexcept {
   if (functions.size() != program.function_count()) return false;
   for (std::size_t i = 0; i < functions.size(); ++i) {
-    const std::size_t code_len = program.functions()[i].code.size();
+    const Function& fn = program.functions()[i];
+    const std::size_t code_len = fn.code.size();
     if (functions[i].quick.size() != code_len ||
-        functions[i].block_of.size() != code_len) {
+        functions[i].block_of.size() != code_len ||
+        functions[i].param_tags.size() != fn.arity ||
+        functions[i].entry_tags.size() != functions[i].blocks.size()) {
       return false;
     }
   }

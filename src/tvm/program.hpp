@@ -102,15 +102,29 @@ struct BlockInfo {
 
 inline constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
+// A value tag the analysis proved (or speculated) for a slot. The first three
+// mirror ValueTag (value.hpp) value for value; kAny means nothing is known.
+enum class SlotTag : std::uint8_t { kInt = 0, kFloat = 1, kArray = 2, kAny = 3 };
+
 struct FunctionPlan {
   // Quickened copy of Function::code, index-aligned with the original so
   // ips, jump targets, trap sites and snapshots agree between engines.
   // Fused instructions occupy their window's first slot; the remaining
-  // slots keep their original content but are skipped by the fast engine.
+  // slots keep their original content (fused handlers read their extra
+  // operands from there) but are skipped by the fast engine.
   std::vector<Instr> quick;
   std::vector<BlockInfo> blocks;
   // Instruction ip -> index into `blocks` (kNoBlock for unreachable code).
   std::vector<std::uint32_t> block_of;
+  // Tag speculated per parameter from the checked instructions consuming
+  // it (kAny: none or conflicting). `quick` is proven under this
+  // assumption, so only a frame whose arguments match may run it.
+  std::vector<SlotTag> param_tags;
+  // Proven tags at each block's entry, index-aligned with `blocks`: every
+  // local slot, then the function's operand stack bottom first. A frame
+  // restored from a snapshot must match them at a block entry before it
+  // runs quickened code.
+  std::vector<std::vector<SlotTag>> entry_tags;
 };
 
 // Per-function plans, index-aligned with Program::functions().

@@ -153,8 +153,18 @@ Status verify_stack(const Program& program, const Function& fn,
 
 // --- Fast-path plan construction ---------------------------------------------
 
-// Abstract value tag for the quickening dataflow. kTop = unknown/any.
-enum class Tag : std::uint8_t { kInt, kFloat, kArray, kTop };
+// Abstract value for the quickening dataflow: a proven tag (kInt, kFloat and
+// kArray share SlotTag's values), kTop for unknown, or, in the speculation
+// pass only, kParam0 + i for parameter i exactly as the caller passed it.
+enum class Tag : std::uint32_t { kInt, kFloat, kArray, kTop, kParam0 };
+
+Tag param_origin(std::uint32_t i) {
+  return static_cast<Tag>(static_cast<std::uint32_t>(Tag::kParam0) + i);
+}
+
+SlotTag slot_tag(Tag t) {
+  return t < Tag::kTop ? static_cast<SlotTag>(t) : SlotTag::kAny;
+}
 
 Tag merge_tag(Tag a, Tag b) { return a == b ? a : Tag::kTop; }
 
@@ -307,16 +317,16 @@ void abs_apply(const Program& program, const Instr& instr, AbsState& s) {
   }
 }
 
-// Forward dataflow over operand/local tags; `in_out[ip]` receives the state
-// before each reachable instruction.
+// Forward dataflow over operand/local tags from an entry state whose
+// parameters carry `params`; `in_out[ip]` receives the state before each
+// reachable instruction.
 void infer_tags(const Program& program, const Function& fn,
+                const std::vector<Tag>& params,
                 std::vector<std::optional<AbsState>>& in_out) {
   in_out.assign(fn.code.size(), std::nullopt);
   AbsState entry;
   entry.locals.assign(fn.num_locals, Tag::kInt);  // zero-initialised slots
-  for (std::uint32_t i = 0; i < fn.arity; ++i) {
-    entry.locals[i] = Tag::kTop;  // caller-supplied, any tag
-  }
+  std::copy(params.begin(), params.end(), entry.locals.begin());
   in_out[0] = entry;
   std::deque<std::size_t> worklist{0};
   auto flow = [&](std::size_t target, const AbsState& state) {
@@ -352,83 +362,145 @@ void infer_tags(const Program& program, const Function& fn,
   }
 }
 
-// Rewrites one instruction to its unchecked form when the dataflow proved
-// the consumed tags. Returns the original op when nothing is provable.
-OpCode quicken_op(const Instr& instr, const AbsState& in) {
-  auto top = [&](std::size_t k) {
-    return in.stack[in.stack.size() - 1 - k];
-  };
-  auto bin_int = [&]() { return top(0) == Tag::kInt && top(1) == Tag::kInt; };
-  auto bin_float = [&]() {
-    return top(0) == Tag::kFloat && top(1) == Tag::kFloat;
-  };
+// The tag a checked instruction requires of its k-th operand from the top
+// (k = 0 is the top), or kTop where it checks none.
+Tag demanded_tag(const Instr& instr, std::size_t k) {
   switch (instr.op) {
-    case OpCode::kAddInt: return bin_int() ? OpCode::kAddIntU : instr.op;
-    case OpCode::kSubInt: return bin_int() ? OpCode::kSubIntU : instr.op;
-    case OpCode::kMulInt: return bin_int() ? OpCode::kMulIntU : instr.op;
-    case OpCode::kDivInt: return bin_int() ? OpCode::kDivIntU : instr.op;
-    case OpCode::kModInt: return bin_int() ? OpCode::kModIntU : instr.op;
-    case OpCode::kBitAnd: return bin_int() ? OpCode::kBitAndU : instr.op;
-    case OpCode::kBitOr: return bin_int() ? OpCode::kBitOrU : instr.op;
-    case OpCode::kBitXor: return bin_int() ? OpCode::kBitXorU : instr.op;
-    case OpCode::kShl: return bin_int() ? OpCode::kShlU : instr.op;
-    case OpCode::kShr: return bin_int() ? OpCode::kShrU : instr.op;
-    case OpCode::kCmpEqInt: return bin_int() ? OpCode::kCmpEqIntU : instr.op;
-    case OpCode::kCmpNeInt: return bin_int() ? OpCode::kCmpNeIntU : instr.op;
-    case OpCode::kCmpLtInt: return bin_int() ? OpCode::kCmpLtIntU : instr.op;
-    case OpCode::kCmpLeInt: return bin_int() ? OpCode::kCmpLeIntU : instr.op;
-    case OpCode::kCmpGtInt: return bin_int() ? OpCode::kCmpGtIntU : instr.op;
-    case OpCode::kCmpGeInt: return bin_int() ? OpCode::kCmpGeIntU : instr.op;
-    case OpCode::kNegInt:
-      return top(0) == Tag::kInt ? OpCode::kNegIntU : instr.op;
-    case OpCode::kLogicalNot:
-      return top(0) == Tag::kInt ? OpCode::kLogicalNotU : instr.op;
-    case OpCode::kIntToFloat:
-      return top(0) == Tag::kInt ? OpCode::kIntToFloatU : instr.op;
-    case OpCode::kAddFloat: return bin_float() ? OpCode::kAddFloatU : instr.op;
-    case OpCode::kSubFloat: return bin_float() ? OpCode::kSubFloatU : instr.op;
-    case OpCode::kMulFloat: return bin_float() ? OpCode::kMulFloatU : instr.op;
-    case OpCode::kDivFloat: return bin_float() ? OpCode::kDivFloatU : instr.op;
+    case OpCode::kAddInt:
+    case OpCode::kSubInt:
+    case OpCode::kMulInt:
+    case OpCode::kDivInt:
+    case OpCode::kModInt:
+    case OpCode::kBitAnd:
+    case OpCode::kBitOr:
+    case OpCode::kBitXor:
+    case OpCode::kShl:
+    case OpCode::kShr:
+    case OpCode::kCmpEqInt:
+    case OpCode::kCmpNeInt:
+    case OpCode::kCmpLtInt:
+    case OpCode::kCmpLeInt:
+    case OpCode::kCmpGtInt:
+    case OpCode::kCmpGeInt:
+      return k < 2 ? Tag::kInt : Tag::kTop;
+    case OpCode::kAddFloat:
+    case OpCode::kSubFloat:
+    case OpCode::kMulFloat:
+    case OpCode::kDivFloat:
     case OpCode::kCmpEqFloat:
-      return bin_float() ? OpCode::kCmpEqFloatU : instr.op;
     case OpCode::kCmpNeFloat:
-      return bin_float() ? OpCode::kCmpNeFloatU : instr.op;
     case OpCode::kCmpLtFloat:
-      return bin_float() ? OpCode::kCmpLtFloatU : instr.op;
     case OpCode::kCmpLeFloat:
-      return bin_float() ? OpCode::kCmpLeFloatU : instr.op;
     case OpCode::kCmpGtFloat:
-      return bin_float() ? OpCode::kCmpGtFloatU : instr.op;
     case OpCode::kCmpGeFloat:
-      return bin_float() ? OpCode::kCmpGeFloatU : instr.op;
-    case OpCode::kNegFloat:
-      return top(0) == Tag::kFloat ? OpCode::kNegFloatU : instr.op;
-    case OpCode::kFloatToInt:
-      return top(0) == Tag::kFloat ? OpCode::kFloatToIntU : instr.op;
+      return k < 2 ? Tag::kFloat : Tag::kTop;
+    case OpCode::kNegInt:
+    case OpCode::kLogicalNot:
+    case OpCode::kIntToFloat:
     case OpCode::kJumpIfZero:
-      return top(0) == Tag::kInt ? OpCode::kJumpIfZeroU : instr.op;
     case OpCode::kJumpIfNotZero:
-      return top(0) == Tag::kInt ? OpCode::kJumpIfNotZeroU : instr.op;
+    case OpCode::kNewArray:
+      return k == 0 ? Tag::kInt : Tag::kTop;
+    case OpCode::kNegFloat:
+    case OpCode::kFloatToInt:
+      return k == 0 ? Tag::kFloat : Tag::kTop;
     case OpCode::kArrayLoad:
-      return top(0) == Tag::kInt && top(1) == Tag::kArray ? OpCode::kArrayLoadU
-                                                          : instr.op;
-    case OpCode::kArrayStore:
-      return top(1) == Tag::kInt && top(2) == Tag::kArray ? OpCode::kArrayStoreU
-                                                          : instr.op;
+      return k == 0 ? Tag::kInt : k == 1 ? Tag::kArray : Tag::kTop;
+    case OpCode::kArrayStore:  // the stored value (k = 0) takes any tag
+      return k == 1 ? Tag::kInt : k == 2 ? Tag::kArray : Tag::kTop;
     case OpCode::kArrayLen:
-      return top(0) == Tag::kArray ? OpCode::kArrayLenU : instr.op;
+      return k == 0 ? Tag::kArray : Tag::kTop;
     case OpCode::kIntrinsic: {
       const IntrinsicInfo& info =
           intrinsic_info(static_cast<Intrinsic>(instr.operand));
-      const Tag want = info.float_args ? Tag::kFloat : Tag::kInt;
-      for (int i = 0; i < info.arity; ++i) {
-        if (top(static_cast<std::size_t>(i)) != want) return instr.op;
-      }
-      return OpCode::kIntrinsicU;
+      if (k >= static_cast<std::size_t>(info.arity)) return Tag::kTop;
+      return info.float_args ? Tag::kFloat : Tag::kInt;
     }
     default:
-      return instr.op;
+      return Tag::kTop;
   }
+}
+
+// The tag-check-free form of an instruction (itself when it has none).
+OpCode unchecked_op(OpCode op) {
+  switch (op) {
+    case OpCode::kAddInt: return OpCode::kAddIntU;
+    case OpCode::kSubInt: return OpCode::kSubIntU;
+    case OpCode::kMulInt: return OpCode::kMulIntU;
+    case OpCode::kDivInt: return OpCode::kDivIntU;
+    case OpCode::kModInt: return OpCode::kModIntU;
+    case OpCode::kBitAnd: return OpCode::kBitAndU;
+    case OpCode::kBitOr: return OpCode::kBitOrU;
+    case OpCode::kBitXor: return OpCode::kBitXorU;
+    case OpCode::kShl: return OpCode::kShlU;
+    case OpCode::kShr: return OpCode::kShrU;
+    case OpCode::kCmpEqInt: return OpCode::kCmpEqIntU;
+    case OpCode::kCmpNeInt: return OpCode::kCmpNeIntU;
+    case OpCode::kCmpLtInt: return OpCode::kCmpLtIntU;
+    case OpCode::kCmpLeInt: return OpCode::kCmpLeIntU;
+    case OpCode::kCmpGtInt: return OpCode::kCmpGtIntU;
+    case OpCode::kCmpGeInt: return OpCode::kCmpGeIntU;
+    case OpCode::kNegInt: return OpCode::kNegIntU;
+    case OpCode::kLogicalNot: return OpCode::kLogicalNotU;
+    case OpCode::kIntToFloat: return OpCode::kIntToFloatU;
+    case OpCode::kAddFloat: return OpCode::kAddFloatU;
+    case OpCode::kSubFloat: return OpCode::kSubFloatU;
+    case OpCode::kMulFloat: return OpCode::kMulFloatU;
+    case OpCode::kDivFloat: return OpCode::kDivFloatU;
+    case OpCode::kCmpEqFloat: return OpCode::kCmpEqFloatU;
+    case OpCode::kCmpNeFloat: return OpCode::kCmpNeFloatU;
+    case OpCode::kCmpLtFloat: return OpCode::kCmpLtFloatU;
+    case OpCode::kCmpLeFloat: return OpCode::kCmpLeFloatU;
+    case OpCode::kCmpGtFloat: return OpCode::kCmpGtFloatU;
+    case OpCode::kCmpGeFloat: return OpCode::kCmpGeFloatU;
+    case OpCode::kNegFloat: return OpCode::kNegFloatU;
+    case OpCode::kFloatToInt: return OpCode::kFloatToIntU;
+    case OpCode::kJumpIfZero: return OpCode::kJumpIfZeroU;
+    case OpCode::kJumpIfNotZero: return OpCode::kJumpIfNotZeroU;
+    case OpCode::kArrayLoad: return OpCode::kArrayLoadU;
+    case OpCode::kArrayStore: return OpCode::kArrayStoreU;
+    case OpCode::kArrayLen: return OpCode::kArrayLenU;
+    case OpCode::kIntrinsic: return OpCode::kIntrinsicU;
+    default: return op;
+  }
+}
+
+// Rewrites one instruction to its unchecked form when the dataflow proved
+// every tag it checks. Returns the original op otherwise.
+OpCode quicken_op(const Instr& instr, const AbsState& in) {
+  const auto& stack = in.stack;
+  for (std::size_t k = 0; k < 3 && k < stack.size(); ++k) {
+    const Tag want = demanded_tag(instr, k);
+    if (want != Tag::kTop && stack[stack.size() - 1 - k] != want) {
+      return instr.op;
+    }
+  }
+  return unchecked_op(instr.op);
+}
+
+// Speculates each parameter's tag from `states`, a pass seeded with
+// param_origin tags: the one tag that every checked instruction consuming
+// the parameter unmodified demands, or kTop when none does or they differ.
+std::vector<Tag> speculate_params(const Function& fn,
+                                  const std::vector<std::optional<AbsState>>& states) {
+  std::vector<std::optional<Tag>> demand(fn.arity);
+  for (std::size_t ip = 0; ip < fn.code.size(); ++ip) {
+    if (!states[ip].has_value()) continue;
+    const auto& stack = states[ip]->stack;
+    for (std::size_t k = 0; k < 3 && k < stack.size(); ++k) {
+      const Tag want = demanded_tag(fn.code[ip], k);
+      const Tag have = stack[stack.size() - 1 - k];
+      if (want == Tag::kTop || have < Tag::kParam0) continue;
+      auto& d = demand[static_cast<std::uint32_t>(have) -
+                       static_cast<std::uint32_t>(Tag::kParam0)];
+      d = !d.has_value() || *d == want ? want : Tag::kTop;
+    }
+  }
+  std::vector<Tag> params(fn.arity, Tag::kTop);
+  for (std::uint32_t i = 0; i < fn.arity; ++i) {
+    if (demand[i].has_value()) params[i] = *demand[i];
+  }
+  return params;
 }
 
 std::int64_t pack_slots(std::int64_t lo, std::int64_t hi) {
@@ -467,53 +539,95 @@ OpCode imm_fused_op(OpCode push_op, OpCode next) {
   }
 }
 
-// Fuses short windows inside a basic block. Safe because fused windows lie
-// within one block (no branch lands mid-window) and the fast engine enters
-// code mid-block only through the checked stepper, which runs the original
-// (unfused) instructions.
+// Compare-and-branch form of an unchecked int compare followed by `jz_U`,
+// with a local (LL) or immediate (LI) right operand. kNop when none.
+OpCode cmp_jz_op(OpCode cmp, bool imm) {
+  switch (cmp) {
+    case OpCode::kCmpEqIntU: return imm ? OpCode::kCmpEqJzLIU : OpCode::kCmpEqJzLLU;
+    case OpCode::kCmpNeIntU: return imm ? OpCode::kCmpNeJzLIU : OpCode::kCmpNeJzLLU;
+    case OpCode::kCmpLtIntU: return imm ? OpCode::kCmpLtJzLIU : OpCode::kCmpLtJzLLU;
+    case OpCode::kCmpLeIntU: return imm ? OpCode::kCmpLeJzLIU : OpCode::kCmpLeJzLLU;
+    case OpCode::kCmpGtIntU: return imm ? OpCode::kCmpGtJzLIU : OpCode::kCmpGtJzLLU;
+    case OpCode::kCmpGeIntU: return imm ? OpCode::kCmpGeJzLIU : OpCode::kCmpGeJzLLU;
+    default: return OpCode::kNop;
+  }
+}
+
+// Fuses windows inside a basic block, longest first. Safe because fused
+// windows lie within one block (no branch lands mid-window) and the fast
+// engine enters quickened code only at block starts; any other entry runs
+// the original, unfused instructions on the checked stepper.
 void fuse(const Function& fn, FunctionPlan& plan) {
   auto& quick = plan.quick;
+  const auto& code = fn.code;
   auto same_block = [&](std::size_t a, std::size_t b) {
-    return plan.block_of[a] != kNoBlock && plan.block_of[a] == plan.block_of[b];
+    return b < quick.size() && plan.block_of[a] != kNoBlock &&
+           plan.block_of[a] == plan.block_of[b];
+  };
+  // The 3- or 4-slot fused op starting at `p` and its width (0: none).
+  // Its first slot keeps the first load's operand; handlers read the
+  // rest from the window's later slots.
+  auto long_window = [&](std::size_t p) -> std::pair<OpCode, std::size_t> {
+    if (code[p].op != OpCode::kLoadLocal) return {OpCode::kNop, 0};
+    const bool rhs_local = same_block(p, p + 1) &&
+                           code[p + 1].op == OpCode::kLoadLocal;
+    const bool rhs_imm = same_block(p, p + 1) &&
+                         code[p + 1].op == OpCode::kPushInt;
+    if ((rhs_local || rhs_imm) && same_block(p, p + 3)) {
+      const OpCode op2 = quick[p + 2].op;
+      if (quick[p + 3].op == OpCode::kJumpIfZeroU &&
+          cmp_jz_op(op2, rhs_imm) != OpCode::kNop) {
+        return {cmp_jz_op(op2, rhs_imm), 4};
+      }
+      if (code[p + 3].op == OpCode::kStoreLocal && op2 == OpCode::kAddIntU) {
+        return {rhs_imm ? OpCode::kAddStoreLIU : OpCode::kAddStoreLLU, 4};
+      }
+      if (code[p + 3].op == OpCode::kStoreLocal && op2 == OpCode::kSubIntU) {
+        return {rhs_imm ? OpCode::kSubStoreLIU : OpCode::kSubStoreLLU, 4};
+      }
+      if (rhs_local && code[p + 2].op == OpCode::kPushInt &&
+          quick[p + 3].op == OpCode::kArrayStoreU) {
+        return {OpCode::kArrayStoreLLIU, 4};
+      }
+    }
+    // `load ref; load idx; aload` -> one fused array read.
+    if (rhs_local && same_block(p, p + 2)) {
+      if (quick[p + 2].op == OpCode::kArrayLoadU) {
+        return {OpCode::kArrayLoadLLU, 3};
+      }
+      if (quick[p + 2].op == OpCode::kArrayLoad) {
+        return {OpCode::kArrayLoadLLC, 3};
+      }
+    }
+    return {OpCode::kNop, 0};
   };
   std::size_t ip = 0;
   while (ip < quick.size()) {
-    // `load ref; load idx; aload` -> one fused array read.
-    auto aload_triple_at = [&](std::size_t p) {
-      return p + 2 < quick.size() && fn.code[p].op == OpCode::kLoadLocal &&
-             fn.code[p + 1].op == OpCode::kLoadLocal &&
-             (quick[p + 2].op == OpCode::kArrayLoadU ||
-              quick[p + 2].op == OpCode::kArrayLoad) &&
-             same_block(p, p + 2);
-    };
-    if (aload_triple_at(ip)) {
-      const OpCode fused = quick[ip + 2].op == OpCode::kArrayLoadU
-                               ? OpCode::kArrayLoadLLU
-                               : OpCode::kArrayLoadLLC;
-      quick[ip] = Instr{fused, pack_slots(fn.code[ip].operand,
-                                          fn.code[ip + 1].operand)};
-      ip += 3;
+    if (const auto [op, width] = long_window(ip); width != 0) {
+      const bool packed = op == OpCode::kArrayLoadLLU || op == OpCode::kArrayLoadLLC;
+      quick[ip] = Instr{op, packed ? pack_slots(code[ip].operand,
+                                                code[ip + 1].operand)
+                                   : code[ip].operand};
+      ip += width;
       continue;
     }
-    if (ip + 1 < quick.size() && same_block(ip, ip + 1)) {
+    if (same_block(ip, ip + 1)) {
       // `push k; <unchecked binop>` -> immediate form.
-      if (fn.code[ip].op == OpCode::kPushInt ||
-          fn.code[ip].op == OpCode::kPushFloat) {
-        const OpCode fused = imm_fused_op(fn.code[ip].op, quick[ip + 1].op);
+      if (code[ip].op == OpCode::kPushInt || code[ip].op == OpCode::kPushFloat) {
+        const OpCode fused = imm_fused_op(code[ip].op, quick[ip + 1].op);
         if (fused != OpCode::kNop) {
-          quick[ip] = Instr{fused, fn.code[ip].operand};
+          quick[ip] = Instr{fused, code[ip].operand};
           ip += 2;
           continue;
         }
       }
-      // `load x; load y` -> paired load, unless the second load starts an
-      // aload triple (the triple fusion saves more).
-      if (fn.code[ip].op == OpCode::kLoadLocal &&
-          fn.code[ip + 1].op == OpCode::kLoadLocal &&
-          !aload_triple_at(ip + 1)) {
+      // `load x; load y` -> paired load, unless the second load starts a
+      // longer window (which saves more).
+      if (code[ip].op == OpCode::kLoadLocal &&
+          code[ip + 1].op == OpCode::kLoadLocal &&
+          long_window(ip + 1).second == 0) {
         quick[ip] = Instr{OpCode::kLoadLocal2,
-                          pack_slots(fn.code[ip].operand,
-                                     fn.code[ip + 1].operand)};
+                          pack_slots(code[ip].operand, code[ip + 1].operand)};
         ip += 2;
         continue;
       }
@@ -589,10 +703,28 @@ Result<FunctionPlan> plan_function(const Program& program, const Function& fn,
     begin = end;
   }
 
+  // Speculation: a pass that tags each parameter by its origin finds the tag
+  // its checked consumers demand; when any is found, a second pass proves
+  // the code under that assumption.
+  std::vector<std::optional<AbsState>> states;
+  std::vector<Tag> params;
+  for (std::uint32_t i = 0; i < fn.arity; ++i) params.push_back(param_origin(i));
+  infer_tags(program, fn, params, states);
+  params = speculate_params(fn, states);
+  if (std::any_of(params.begin(), params.end(),
+                  [](Tag t) { return t != Tag::kTop; })) {
+    infer_tags(program, fn, params, states);
+  }
+  for (const Tag t : params) plan.param_tags.push_back(slot_tag(t));
+  for (const BlockInfo& block : plan.blocks) {
+    const AbsState& in = *states[block.begin];
+    auto& tags = plan.entry_tags.emplace_back();
+    for (const Tag t : in.locals) tags.push_back(slot_tag(t));
+    for (const Tag t : in.stack) tags.push_back(slot_tag(t));
+  }
+
   // Quickening: rewrite ops whose consumed tags the dataflow proves, then
   // fuse windows.
-  std::vector<std::optional<AbsState>> states;
-  infer_tags(program, fn, states);
   for (std::size_t ip = 0; ip < fn.code.size(); ++ip) {
     if (!states[ip].has_value()) continue;
     plan.quick[ip].op = quicken_op(fn.code[ip], *states[ip]);

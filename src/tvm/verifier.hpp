@@ -41,6 +41,12 @@ struct VerifyLimits {
 //     unchecked/fused quickened forms (opcode.hpp) in an index-aligned
 //     copy of the code.
 //
+// Parameter tags are speculated, not proven: one extra dataflow pass finds,
+// per parameter, the tag every checked instruction consuming it demands,
+// and the quickened code is proven under that assumption. The interpreter
+// runs it only for frames whose state matches (the frame rule,
+// interpreter.hpp).
+//
 // The plan is host-local derived data: it is never serialized and has no
 // effect on program identity. See program.hpp for the structures.
 [[nodiscard]] Result<ExecPlan> analyze(const Program& program,

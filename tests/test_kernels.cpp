@@ -13,6 +13,7 @@
 #include "core/kernels.hpp"
 #include "tcl/compiler.hpp"
 #include "tvm/interpreter.hpp"
+#include "tvm/verifier.hpp"
 
 namespace tasklets::core {
 namespace {
@@ -319,6 +320,73 @@ TEST(NBodyTest, MatchesHostIntegration) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_DOUBLE_EQ(got[i], hpx[i]) << "body " << i;
   }
+}
+
+// --- fast-engine plans -----------------------------------------------------------
+//
+// The VM-bound kernels' hot loops must stay speculated and fused, so a change
+// that silently stops fusing fails here and not only in a perf run.
+
+struct PlannedFunction {
+  std::vector<tvm::SlotTag> params;
+  std::vector<std::string_view> loop_heads;  // fast op at each backward-jump target
+  std::vector<std::string_view> ops;         // every op the fast engine sees
+};
+
+PlannedFunction planned(std::string_view source, std::string_view function) {
+  const tvm::Program& program = compiled(source);
+  auto plan = tvm::analyze(program);
+  EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+  const auto idx = program.find_function(function).value();
+  const tvm::Function& fn = program.function(idx);
+  const tvm::FunctionPlan& fp = plan->functions[idx];
+  PlannedFunction out;
+  out.params = fp.param_tags;
+  for (std::size_t ip = 0; ip < fn.code.size(); ++ip) {
+    out.ops.push_back(tvm::vm_op_name(fp.quick[ip].op));
+    const tvm::Instr& instr = fn.code[ip];
+    if (instr.op == tvm::OpCode::kJump &&
+        static_cast<std::size_t>(instr.operand) < ip) {
+      out.loop_heads.push_back(tvm::vm_op_name(
+          fp.quick[static_cast<std::size_t>(instr.operand)].op));
+    }
+  }
+  return out;
+}
+
+bool has_op(const PlannedFunction& fn, std::string_view op) {
+  return std::find(fn.ops.begin(), fn.ops.end(), op) != fn.ops.end();
+}
+
+TEST(KernelPlans, SieveSpeculatesIntBoundAndFusesBothLoops) {
+  const auto main = planned(kernels::kSieve, "main");
+  EXPECT_EQ(main.params, std::vector<tvm::SlotTag>{tvm::SlotTag::kInt});
+  // Inner `j < n` head, then outer `i < n` head.
+  EXPECT_EQ(main.loop_heads,
+            (std::vector<std::string_view>{"kCmpLtJzLLU", "kCmpLtJzLLU"}));
+  EXPECT_TRUE(has_op(main, "kArrayStoreLLIU"));  // composite[j] = 1
+  EXPECT_TRUE(has_op(main, "kAddStoreLLU"));     // j = j + i
+  EXPECT_TRUE(has_op(main, "kAddStoreLIU"));     // count = count + 1
+}
+
+TEST(KernelPlans, FibSpeculatesIntAndFusesItsBaseCase) {
+  const auto fib = planned(kernels::kFib, "fib");
+  EXPECT_EQ(fib.params, std::vector<tvm::SlotTag>{tvm::SlotTag::kInt});
+  EXPECT_EQ(fib.ops.front(), "kCmpLtJzLIU");  // if (n < 2)
+  EXPECT_TRUE(has_op(fib, "kSubIntImmU"));     // n - 1, n - 2
+}
+
+TEST(KernelPlans, MandelbrotSpeculatesEscapeSignatureAndFusesLoops) {
+  const auto escape = planned(kernels::kMandelbrotRow, "escape");
+  EXPECT_EQ(escape.params,
+            (std::vector<tvm::SlotTag>{tvm::SlotTag::kFloat, tvm::SlotTag::kFloat,
+                                       tvm::SlotTag::kInt}));
+  EXPECT_EQ(escape.loop_heads, std::vector<std::string_view>{"kCmpLtJzLLU"});
+  EXPECT_TRUE(has_op(escape, "kAddStoreLIU"));  // iter = iter + 1
+  EXPECT_FALSE(has_op(escape, "add_f"))         // `+ cr`, `+ ci` unchecked
+      << "a float add kept its tag check";
+  const auto main = planned(kernels::kMandelbrotRow, "main");
+  EXPECT_EQ(main.loop_heads, std::vector<std::string_view>{"kCmpLtJzLLU"});
 }
 
 }  // namespace

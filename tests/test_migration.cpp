@@ -3,10 +3,12 @@
 // rigorous rejection of forged snapshot bytes, and limits across slices.
 #include <gtest/gtest.h>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "core/kernels.hpp"
 #include "proto/messages.hpp"
 #include "tcl/compiler.hpp"
+#include "tvm/assembler.hpp"
 #include "tvm/interpreter.hpp"
 
 namespace tasklets::tvm {
@@ -186,6 +188,98 @@ TEST(MigrationTest, SnapshotFuelRejectsGarbage) {
   EXPECT_FALSE(snapshot_fuel(std::span<const std::byte>(garbage.data(),
                                                         garbage.size()))
                    .is_ok());
+}
+
+// Byte offset of local slot `slot` in TSNP snapshot bytes: past the header
+// (magic, version, program hash, fuel, peak depth) and the operand stack.
+std::size_t local_offset(const Bytes& state, std::size_t slot) {
+  ByteReader r(std::span<const std::byte>(state.data(), state.size()));
+  auto skip_value = [&r] {
+    switch (r.read_u8().value()) {
+      case 0: (void)r.read_varint_signed().value(); break;  // int
+      case 1: (void)r.read_f64().value(); break;            // float
+      default: (void)r.read_u32().value(); break;           // array handle
+    }
+  };
+  (void)r.read_u32().value();
+  (void)r.read_u16().value();
+  (void)r.read_u64().value();
+  (void)r.read_varint().value();
+  (void)r.read_varint().value();
+  const std::uint64_t stack_size = r.read_varint().value();
+  for (std::uint64_t i = 0; i < stack_size; ++i) skip_value();
+  (void)r.read_varint().value();  // locals count
+  for (std::size_t i = 0; i < slot; ++i) skip_value();
+  return state.size() - r.remaining();
+}
+
+// Restore checks a snapshot's structure, handles, call chain and depths but
+// not its value tags. Here the array local of a suspended `aload` loop is
+// re-encoded as an int whose low bits are a far-out-of-range heap handle.
+// The loop's aload is quickened (its ref is proven an array), so only the
+// frame rule keeps the forged int away from the unchecked array read: both
+// engines must report the reference stepper's clean type trap.
+TEST(MigrationTest, ForgedValueTagTrapsLikeReferenceInBothEngines) {
+  auto assembled = assemble(R"(
+    .func main arity=0 locals=3
+      push_i 8
+      newarr
+      store 0
+    loop:
+      load 0
+      load 1
+      push_i 7
+      band
+      aload
+      load 2
+      add_i
+      store 2
+      load 1
+      push_i 1
+      add_i
+      store 1
+      load 1
+      push_i 1000
+      clt_i
+      jnz loop
+      load 2
+      halt
+    .end
+    .entry main
+  )");
+  ASSERT_TRUE(assembled.is_ok()) << assembled.status().to_string();
+  const Program program = std::move(assembled).value();
+  for (const std::uint64_t slice : {40, 45, 64}) {
+    auto suspended = execute_slice(program, {}, {}, slice);
+    ASSERT_TRUE(suspended.is_ok());
+    const auto& suspension = std::get<Suspension>(*suspended);
+
+    const std::size_t at = local_offset(suspension.state, 0);
+    ASSERT_EQ(suspension.state[at], std::byte{2}) << "local 0 is not an array";
+    ByteWriter forged_value;
+    forged_value.write_u8(0);  // int
+    forged_value.write_varint_signed(0x7ffffff0);
+    const Bytes value = std::move(forged_value).take();
+    Bytes forged(suspension.state.begin(), suspension.state.begin() + at);
+    forged.insert(forged.end(), value.begin(), value.end());
+    forged.insert(forged.end(), suspension.state.begin() + at + 5,  // tag + u32
+                  suspension.state.end());
+
+    std::vector<std::string> traps;
+    for (const Engine engine : {Engine::kFast, Engine::kReference}) {
+      ExecOptions options;
+      options.engine = engine;
+      auto resumed = resume_slice(
+          program, Suspension{forged, suspension.fuel_used}, {}, 0, options);
+      ASSERT_FALSE(resumed.is_ok()) << "slice " << slice;
+      EXPECT_EQ(resumed.status().code(), StatusCode::kAborted);
+      traps.push_back(resumed.status().to_string());
+    }
+    EXPECT_EQ(traps[0], traps[1]) << "slice " << slice;
+    EXPECT_NE(traps[1].find("expected array, got int in 'main' at instruction 7"),
+              std::string::npos)
+        << traps[1];
+  }
 }
 
 // Property: arbitrary corruption of snapshot bytes must never reach an

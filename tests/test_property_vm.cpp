@@ -447,5 +447,100 @@ TEST_P(EngineDifferentialSweep, FastEngineMatchesReferenceBitExactly) {
 INSTANTIATE_TEST_SUITE_P(Fuzz, EngineDifferentialSweep,
                          ::testing::Values(11, 22, 33, 44, 55));
 
+// --- speculation, fused windows and block chaining ---------------------------
+//
+// Random loop programs shaped so the analysis speculates parameter tags and
+// fuses every 4-slot window (compare-and-branch with a local or immediate
+// bound, three-address add/sub, immediate array store) inside loops whose
+// blocks chain. Compare kinds, add/sub choices and constants are random;
+// the loop stores into an 8-cell array, so it ends by its compares or by a
+// bounds trap at the store. Argument tags are random per run, so entry and
+// call arguments agree with or contradict the speculated tags; small fuel
+// limits and slices land traps and suspensions at every block boundary.
+Program random_loop_program(Rng& rng) {
+  static constexpr std::string_view kCmps[] = {"ceq_i", "cne_i", "clt_i",
+                                               "cle_i", "cgt_i", "cge_i"};
+  auto cmp = [&] { return std::string(kCmps[rng.next_below(6)]); };
+  auto add_or_sub = [&] {
+    return std::string(rng.next_below(2) == 0 ? "add_i" : "sub_i");
+  };
+  auto imm = [&] { return std::to_string(rng.uniform_int(-4, 12)); };
+  const std::string bound = rng.next_below(2) == 0 ? "load 0" : "push_i " + imm();
+  const std::string source =
+      ".func helper arity=2 locals=3\n"
+      "  load 0\n  load 1\n  " + add_or_sub() + "\n  store 2\n"
+      "  load 2\n  push_i " + imm() + "\n  " + cmp() + "\n  jz other\n"
+      "  load 2\n  ret\n"
+      "other:\n  load 0\n  ret\n.end\n"
+      // Locals: 0 bound, 1 step, 2 passed to helper; 3 i, 4 acc, 5 array.
+      ".func main arity=3 locals=7\n"
+      "  push_i 8\n  newarr\n  store 5\n"
+      "loop:\n"
+      "  load 3\n  " + bound + "\n  " + cmp() + "\n  jz done\n"
+      "  load 5\n  load 3\n  push_i " + imm() + "\n  astore\n"
+      "  load 4\n  load 1\n  " + add_or_sub() + "\n  store 4\n"
+      "  load 4\n  push_i " + imm() + "\n  " + add_or_sub() + "\n  store 4\n"
+      "  load 4\n  load 2\n  call helper\n  store 6\n"
+      "  load 3\n  push_i 1\n  add_i\n  store 3\n"
+      "  load 6\n  push_i " + imm() + "\n  " + cmp() + "\n  jz done\n"
+      "  jmp loop\n"
+      "done:\n  load 4\n  ret\n.end\n"
+      ".entry main\n";
+  auto program = assemble(source);
+  EXPECT_TRUE(program.is_ok()) << program.status().to_string() << "\n" << source;
+  return std::move(program).value();
+}
+
+class SpeculationDifferentialSweep
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SpeculationDifferentialSweep, FusedChainedLoopsMatchReferenceBitExactly) {
+  Rng rng(GetParam());
+  auto fib = tcl::compile(R"(
+    int fib(int n) {
+      if (n < 2) { return n; }
+      return fib(n - 1) + fib(n - 2);
+    }
+    int main(int n) { return fib(n); }
+  )");
+  ASSERT_TRUE(fib.is_ok()) << fib.status().to_string();
+  for (int round = 0; round < 150; ++round) {
+    // Every fifth round runs recursion instead: fib's parameter is
+    // speculated int, main's is not, so a float reaches a fib frame.
+    const bool recursive = round % 5 == 0;
+    const Program program = recursive ? *fib : random_loop_program(rng);
+    ASSERT_TRUE(verify(program).is_ok()) << disassemble(program);
+    std::vector<HostArg> args = args_for(program, rng);
+    if (recursive && rng.next_below(2) == 0) {
+      args[0] = HostArg{static_cast<std::int64_t>(rng.next_below(12))};
+    }
+    ExecLimits limits;
+    limits.max_fuel = 40 + rng.next_below(600);
+    limits.max_call_depth = 64;
+    // Half the runs suspend every few instructions, so resumes land inside
+    // the first blocks too, before a contradicting argument is consumed.
+    const std::uint64_t slice = 1 + rng.next_below(rng.next_below(2) ? 40 : 6);
+    const RunTrace rr = run_sliced(program, args, limits, slice,
+                                   Engine::kReference, Engine::kReference);
+    expect_traces_equal(run_sliced(program, args, limits, slice, Engine::kFast,
+                                   Engine::kFast),
+                        rr, program, "fast/fast vs ref/ref");
+    expect_traces_equal(run_sliced(program, args, limits, slice, Engine::kFast,
+                                   Engine::kReference),
+                        rr, program, "fast/ref vs ref/ref");
+    expect_traces_equal(run_sliced(program, args, limits, slice,
+                                   Engine::kReference, Engine::kFast),
+                        rr, program, "ref/fast vs ref/ref");
+    expect_traces_equal(run_sliced(program, args, limits, 0, Engine::kFast,
+                                   Engine::kFast),
+                        run_sliced(program, args, limits, 0, Engine::kReference,
+                                   Engine::kReference),
+                        program, "whole run");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fuzz, SpeculationDifferentialSweep,
+                         ::testing::Values(61, 62, 63));
+
 }  // namespace
 }  // namespace tasklets::tvm

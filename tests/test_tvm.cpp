@@ -979,6 +979,9 @@ TEST(FastEngineTest, AnalyzeQuickensProvenOpsAndKeepsCheckedOnes) {
       push_i 10
       mul_i
       store 1
+      load 0
+      neg_f
+      pop
       load 1
       push_i 3
       add_i
@@ -992,9 +995,12 @@ TEST(FastEngineTest, AnalyzeQuickensProvenOpsAndKeepsCheckedOnes) {
   const auto& fp = plan->functions[0];
   ASSERT_EQ(fp.quick.size(), p.function(0).code.size());
   ASSERT_EQ(fp.block_of.size(), p.function(0).code.size());
-  // Local 0 is a caller argument (unknown tag), so the first mul keeps its
-  // checked form; local 1 was stored from an int-producing op, so the
-  // second window fuses `push_i 3; add_i` into an immediate add.
+  // Local 0 is a caller argument whose checked consumers disagree (mul_i
+  // wants an int, neg_f a float), so nothing is speculated and the mul
+  // keeps its checked form; local 1 was stored from an int-producing op,
+  // so the second window fuses `push_i 3; add_i` into an immediate add.
+  ASSERT_EQ(fp.param_tags.size(), 1u);
+  EXPECT_EQ(fp.param_tags[0], SlotTag::kAny);
   EXPECT_EQ(fp.quick[2].op, OpCode::kMulInt);
   bool saw_imm_add = false;
   for (const Instr& instr : fp.quick) {
@@ -1066,8 +1072,9 @@ TEST(FastEngineTest, FusedArrayLoadTrapSiteMatchesReference) {
 }
 
 TEST(FastEngineTest, TypeConfusionTrapParity) {
-  // Local 0 arrives from the caller, so its tag is unproven: the fast block
-  // keeps the checked add and must trap identically to the reference.
+  // Local 0 arrives from the caller and is speculated int from its add; a
+  // float argument contradicts that, so the frame runs on the checked
+  // stepper and must trap identically to the reference.
   const Program p = asm_or_die(R"(
     .func main arity=1 locals=1
       load 0
@@ -1134,6 +1141,278 @@ TEST(FastEngineTest, SuspensionSnapshotsMatchReferenceAtAnySlice) {
     EXPECT_TRUE(args_equal(fast_done.result, ref_done.result));
     EXPECT_EQ(fast_done.fuel_used, ref_done.fuel_used) << "slice=" << slice;
     EXPECT_EQ(fast_done.instructions, ref_done.instructions);
+  }
+}
+
+// Everything observable from one whole run, for engine comparisons.
+std::string observe(const Result<ExecOutcome>& outcome) {
+  if (!outcome.is_ok()) return "trap: " + outcome.status().to_string();
+  return "ok: " + to_string(outcome->result) +
+         " fuel=" + std::to_string(outcome->fuel_used) +
+         " instructions=" + std::to_string(outcome->instructions) +
+         " depth=" + std::to_string(outcome->peak_call_depth);
+}
+
+// Everything observable from a sliced run: the state bytes at every
+// suspension, then the final outcome.
+std::vector<std::string> observe_sliced(const Program& program,
+                                        const std::vector<HostArg>& args,
+                                        std::uint64_t slice, Engine first,
+                                        Engine resume) {
+  ExecOptions first_options;
+  first_options.engine = first;
+  ExecOptions resume_options;
+  resume_options.engine = resume;
+  std::vector<std::string> trace;
+  auto result = execute_slice(program, args, {}, slice, first_options);
+  while (result.is_ok() && std::holds_alternative<Suspension>(*result)) {
+    const auto& suspension = std::get<Suspension>(*result);
+    trace.emplace_back(reinterpret_cast<const char*>(suspension.state.data()),
+                       suspension.state.size());
+    trace.back() += " fuel=" + std::to_string(suspension.fuel_used) +
+                    " instructions=" + std::to_string(suspension.instructions);
+    result = resume_slice(program, suspension, {}, slice, resume_options);
+  }
+  trace.push_back(result.is_ok()
+                      ? observe(std::get<ExecOutcome>(std::move(*result)))
+                      : "trap: " + result.status().to_string());
+  return trace;
+}
+
+// Whole runs under every fuel limit up to the run's own fuel (so fuel
+// runs out at every instruction, inside fused windows and chained blocks
+// too), and sliced runs at every slice size up to `max_slice` with both
+// same- and cross-engine resume, must all match the reference engine.
+void expect_parity_everywhere(const Program& program,
+                              const std::vector<HostArg>& args,
+                              std::uint64_t max_slice) {
+  const auto full = run_engine(program, args, Engine::kReference);
+  const std::uint64_t fuel = full.is_ok() ? full->fuel_used : 2'000;
+  for (std::uint64_t max_fuel = 1; max_fuel <= fuel + 1; ++max_fuel) {
+    ExecLimits limits;
+    limits.max_fuel = max_fuel;
+    ASSERT_EQ(observe(run_engine(program, args, Engine::kFast, limits)),
+              observe(run_engine(program, args, Engine::kReference, limits)))
+        << "max_fuel=" << max_fuel;
+  }
+  for (std::uint64_t slice = 1; slice <= max_slice; ++slice) {
+    const auto rr = observe_sliced(program, args, slice, Engine::kReference,
+                                   Engine::kReference);
+    ASSERT_EQ(observe_sliced(program, args, slice, Engine::kFast, Engine::kFast),
+              rr)
+        << "slice=" << slice;
+    ASSERT_EQ(observe_sliced(program, args, slice, Engine::kFast,
+                             Engine::kReference),
+              rr)
+        << "slice=" << slice;
+    ASSERT_EQ(observe_sliced(program, args, slice, Engine::kReference,
+                             Engine::kFast),
+              rr)
+        << "slice=" << slice;
+  }
+}
+
+TEST(FastEngineTest, ArgumentsContradictingSpeculationRunChecked) {
+  // `bump` speculates int for its parameter (its add wants one) and
+  // `count` for its bound; `main`'s parameter only flows into a call, so
+  // nothing is speculated for it. Entry and call arguments of another tag
+  // must run on the checked stepper and trap exactly like the reference.
+  const Program p = asm_or_die(R"(
+    .func bump arity=1 locals=2
+      load 0
+      push_i 1
+      add_i
+      store 1
+      load 1
+      ret
+    .end
+    .func count arity=1 locals=2
+    loop:
+      load 1
+      load 0
+      clt_i
+      jz done
+      load 1
+      push_i 1
+      add_i
+      store 1
+      jmp loop
+    done:
+      load 1
+      ret
+    .end
+    .func main arity=1 locals=1
+      push_i 41
+      call bump
+      load 0
+      call bump
+      add_i
+      load 0
+      call count
+      add_i
+      ret
+    .end
+    .entry main
+  )");
+  auto plan = analyze(p);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->functions[0].param_tags, std::vector<SlotTag>{SlotTag::kInt});
+  EXPECT_EQ(plan->functions[1].param_tags, std::vector<SlotTag>{SlotTag::kInt});
+  EXPECT_EQ(plan->functions[2].param_tags, std::vector<SlotTag>{SlotTag::kAny});
+  EXPECT_EQ(plan->functions[1].quick[0].op, OpCode::kCmpLtJzLLU);
+
+  const HostArg int_arg{std::int64_t{5}};
+  EXPECT_EQ(observe(run_engine(p, {int_arg}, Engine::kFast)),
+            observe(run_engine(p, {int_arg}, Engine::kReference)));
+  EXPECT_EQ(std::get<std::int64_t>(run_engine(p, {int_arg}, Engine::kFast)->result),
+            42 + 6 + 5);
+  for (const HostArg& arg :
+       {HostArg{2.5}, HostArg{std::vector<std::int64_t>{1, 2}}}) {
+    const auto fast = run_engine(p, {arg}, Engine::kFast);
+    ASSERT_FALSE(fast.is_ok());
+    EXPECT_NE(fast.status().to_string().find("in 'bump' at instruction 2"),
+              std::string::npos)
+        << fast.status().to_string();
+    EXPECT_EQ(observe(fast), observe(run_engine(p, {arg}, Engine::kReference)));
+  }
+  // The same function entered from the host with a wrong-tag argument.
+  Program entry_count = p;
+  entry_count.set_entry(1);
+  for (const HostArg& arg : {int_arg, HostArg{2.5}}) {
+    EXPECT_EQ(observe(run_engine(entry_count, {arg}, Engine::kFast)),
+              observe(run_engine(entry_count, {arg}, Engine::kReference)));
+  }
+  expect_parity_everywhere(p, {int_arg}, 24);
+  expect_parity_everywhere(p, {HostArg{2.5}}, 8);
+}
+
+TEST(FastEngineTest, FusedWindowsMatchReferenceAtEveryFuelLimitAndSlice) {
+  const Program p = asm_or_die(R"(
+    .func main arity=2 locals=6
+      push_i 8
+      newarr
+      store 2
+    loop:
+      load 3
+      load 0
+      clt_i
+      jz done
+      load 2
+      load 3
+      push_i 5
+      astore
+      load 4
+      load 1
+      sub_i
+      store 4
+      load 4
+      push_i 3
+      add_i
+      store 4
+      load 4
+      load 3
+      add_i
+      store 5
+      load 5
+      push_i 2
+      sub_i
+      store 5
+      load 3
+      push_i 1
+      add_i
+      store 3
+      load 4
+      push_i -100
+      cgt_i
+      jz done
+      jmp loop
+    done:
+      load 4
+      ret
+    .end
+    .entry main
+  )");
+  auto plan = analyze(p);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  const auto& fp = plan->functions[0];
+  EXPECT_EQ(fp.param_tags, (std::vector<SlotTag>{SlotTag::kInt, SlotTag::kInt}));
+  const std::vector<std::pair<std::size_t, OpCode>> fused = {
+      {3, OpCode::kCmpLtJzLLU},   {7, OpCode::kArrayStoreLLIU},
+      {11, OpCode::kSubStoreLLU}, {15, OpCode::kAddStoreLIU},
+      {19, OpCode::kAddStoreLLU}, {23, OpCode::kSubStoreLIU},
+      {27, OpCode::kAddStoreLIU}, {31, OpCode::kCmpGtJzLIU}};
+  for (const auto& [ip, op] : fused) {
+    EXPECT_EQ(fp.quick[ip].op, op) << "ip " << ip << ": "
+                                   << vm_op_name(fp.quick[ip].op);
+  }
+
+  // Completes; the immediate array store traps at its own instruction (the
+  // window start + 3) once the index leaves the 8-cell array; a negative
+  // step ends the loop through the second compare-and-branch; float and
+  // array arguments contradict the speculation.
+  const std::vector<std::vector<HostArg>> cases = {
+      {std::int64_t{6}, std::int64_t{1}},
+      {std::int64_t{12}, std::int64_t{1}},
+      {std::int64_t{6}, std::int64_t{60}},
+      {std::int64_t{6}, 0.5},
+      {std::vector<std::int64_t>{1}, std::int64_t{1}}};
+  for (const auto& args : cases) {
+    EXPECT_EQ(observe(run_engine(p, args, Engine::kFast)),
+              observe(run_engine(p, args, Engine::kReference)));
+    expect_parity_everywhere(p, args, 40);
+  }
+  const auto oob = run_engine(p, cases[1], Engine::kFast);
+  ASSERT_FALSE(oob.is_ok());
+  EXPECT_NE(oob.status().to_string().find(
+                "array index out of bounds in 'main' at instruction 10"),
+            std::string::npos)
+      << oob.status().to_string();
+}
+
+TEST(FastEngineTest, RecursionMatchesReferenceAtEveryFuelLimitAndSlice) {
+  const Program p = asm_or_die(R"(
+    .func fib arity=1 locals=1
+      load 0
+      push_i 2
+      clt_i
+      jz recurse
+      load 0
+      ret
+    recurse:
+      load 0
+      push_i 1
+      sub_i
+      call fib
+      load 0
+      push_i 2
+      sub_i
+      call fib
+      add_i
+      ret
+    .end
+    .func main arity=1 locals=1
+      load 0
+      call fib
+      halt
+    .end
+    .entry main
+  )");
+  auto plan = analyze(p);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->functions[0].param_tags, std::vector<SlotTag>{SlotTag::kInt});
+  EXPECT_EQ(plan->functions[0].quick[0].op, OpCode::kCmpLtJzLIU);
+  expect_parity_everywhere(p, {std::int64_t{9}}, 30);
+  // A float reaches fib through main, whose parameter has no speculation:
+  // the first fib frame runs checked and traps like the reference.
+  expect_parity_everywhere(p, {2.5}, 4);
+
+  // The listing behind `taskletc dis --plan`.
+  const std::string listing = plan_listing(p, *plan);
+  for (const std::string_view line :
+       {".func fib(int) locals=1", ".func main(any) locals=1",
+        " block 0: fuel=4 depth=2", "     0  load 0                kCmpLtJzLIU",
+        "     3  jz 6                  (fused)", "     5  ret\n"}) {
+    EXPECT_NE(listing.find(line), std::string::npos) << line << "\n" << listing;
   }
 }
 

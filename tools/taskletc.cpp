@@ -2,8 +2,10 @@
 //
 //   taskletc build <file.tcl> [-o out.tvm] [--entry NAME]
 //       Compile + verify a TCL source file to a portable bytecode file.
-//   taskletc dis <file.tvm | file.tcl>
-//       Print the bytecode listing (compiles first when given source).
+//   taskletc dis <file.tvm | file.tcl> [--plan]
+//       Print the bytecode listing (compiles first when given source). With
+//       --plan, print what the fast engine runs instead: speculated
+//       parameter tags, block leaders, and the quickened or fused op per ip.
 //   taskletc run <file.tcl | file.tvm> [ARG...] [--profile] [--json]
 //       Execute locally in the TVM and print result + fuel. With --profile,
 //       also print the per-opcode execution profile (counts + cycle time);
@@ -56,7 +58,7 @@ int usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  taskletc build <file.tcl> [-o out.tvm] [--entry NAME]\n"
-               "  taskletc dis   <file.tvm|file.tcl>\n"
+               "  taskletc dis   <file.tvm|file.tcl> [--plan]\n"
                "  taskletc run   <file.tcl|file.tvm> [ARG...] [--profile]"
                " [--json]\n"
                "  taskletc exec  <file.tcl|file.tvm> [ARG...] [--providers N]"
@@ -192,14 +194,35 @@ int cmd_build(const std::vector<std::string>& args) {
 }
 
 int cmd_dis(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  auto program = load_program(args[0]);
+  std::string input;
+  bool show_plan = false;
+  for (const std::string& arg : args) {
+    if (arg == "--plan") {
+      show_plan = true;
+    } else if (input.empty()) {
+      input = arg;
+    } else {
+      return usage();
+    }
+  }
+  if (input.empty()) return usage();
+  auto program = load_program(input);
   if (!program.is_ok()) {
-    std::fprintf(stderr, "%s: %s\n", args[0].c_str(),
+    std::fprintf(stderr, "%s: %s\n", input.c_str(),
                  program.status().to_string().c_str());
     return 1;
   }
-  std::fputs(tvm::disassemble(*program).c_str(), stdout);
+  if (!show_plan) {
+    std::fputs(tvm::disassemble(*program).c_str(), stdout);
+    return 0;
+  }
+  auto plan = tvm::analyze(*program);
+  if (!plan.is_ok()) {
+    std::fprintf(stderr, "%s: %s\n", input.c_str(),
+                 plan.status().to_string().c_str());
+    return 1;
+  }
+  std::fputs(tvm::plan_listing(*program, *plan).c_str(), stdout);
   return 0;
 }
 
