@@ -1241,9 +1241,11 @@ void Broker::finish(TaskletId id, TaskletState& state, proto::TaskletReport repo
   // instant's timestamp can be reconstructed without threading `now` here.
   const SimTime terminal = state.submitted_at + report.latency;
   close_open_spans(state, id, terminal);
-  trace_instant(state, "report", id, terminal,
-                {{"status", std::string(proto::to_string(report.status))},
-                 {"attempts", std::to_string(report.attempts)}});
+  if (config_.trace != nullptr && state.trace.active()) {
+    trace_instant(state, "report", id, terminal,
+                  {{"status", std::string(proto::to_string(report.status))},
+                   {"attempts", std::to_string(report.attempts)}});
+  }
   // Retained so duplicate submissions replay the same terminal report.
   state.final_report = report;
   if (state.dag.valid()) {

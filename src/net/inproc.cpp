@@ -71,6 +71,19 @@ void MailboxThread::post(ActorHost& host, Item item, bool may_drive) {
   std::unique_lock lock(mutex_);
   if (host.state_ == ActorHost::State::kStopped) return;
   host.mailbox_.push_back(std::move(item));
+  schedule(lock, host, may_drive);
+}
+
+void MailboxThread::post_many(ActorHost& host,
+                              std::span<proto::Envelope> envelopes) {
+  std::unique_lock lock(mutex_);
+  if (host.state_ == ActorHost::State::kStopped) return;
+  for (auto& envelope : envelopes) host.mailbox_.emplace_back(std::move(envelope));
+  schedule(lock, host, /*may_drive=*/false);
+}
+
+void MailboxThread::schedule(std::unique_lock<std::mutex>& lock, ActorHost& host,
+                             bool may_drive) {
   if (host.state_ == ActorHost::State::kCreated || host.queued_) return;
   if (!make_ready(host)) return;
   if (may_drive && t_serving == nullptr) {
@@ -270,6 +283,10 @@ void ActorHost::post(proto::Envelope envelope) {
   thread_.post(*this, std::move(envelope), /*may_drive=*/false);
 }
 
+void ActorHost::post_many(std::span<proto::Envelope> envelopes) {
+  thread_.post_many(*this, envelopes);
+}
+
 void ActorHost::post_closure(ActorClosure fn) {
   thread_.post(*this, std::move(fn), /*may_drive=*/false);
 }
@@ -292,9 +309,8 @@ bool ActorHost::idle() const {
 
 void ActorHost::dispatch_outbox(proto::Outbox& out) {
   if (!out.timers().empty()) thread_.arm(*this, out.timers());
-  for (auto& envelope : out.take_messages()) {
-    env_.route(std::move(envelope));
-  }
+  std::vector<proto::Envelope> messages = out.take_messages();
+  if (!messages.empty()) env_.route_batch(messages);
 }
 
 // --- InProcRuntime ---------------------------------------------------------------

@@ -35,6 +35,13 @@
 // own, named "actor-<id>", through the same code. TcpRuntime builds its
 // hosts that way, since a TCP node stands for a separate process.
 //
+// Both crossings between a host and its runtime go in runs. A turn's whole
+// outbox leaves through one HostEnv::route_batch call; the default routes
+// envelope by envelope, and TcpRuntime overrides it to send the turn with
+// one lock round per destination. Inbound, ActorHost::post_many enqueues a
+// run of envelopes with one mailbox lock and readies or wakes the host at
+// most once: TcpRuntime posts the frames of one recv that way.
+//
 // Delivery guarantees: reliable, FIFO per sender-receiver pair, no
 // artificial latency (for latency/bandwidth models use the simulator; for
 // real sockets use net/tcp.hpp).
@@ -49,6 +56,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -73,6 +81,12 @@ class HostEnv {
  public:
   virtual ~HostEnv() = default;
   virtual void route(proto::Envelope envelope) = 0;
+  // Routes one turn's outbox in order, moving from `envelopes`. The default
+  // calls route() per envelope, so a decorator that counts route() calls
+  // (net/fault.hpp) still sees one per envelope.
+  virtual void route_batch(std::span<proto::Envelope> envelopes) {
+    for (auto& envelope : envelopes) route(std::move(envelope));
+  }
   [[nodiscard]] virtual SimTime now() const = 0;
 };
 
@@ -138,6 +152,14 @@ class MailboxThread {
   // Enqueues `item`; with `may_drive`, may run the turns on the calling
   // thread (see the file comment).
   void post(ActorHost& host, Item item, bool may_drive);
+  // Enqueues `envelopes` in order under one lock and readies or wakes the
+  // host at most once. Never drives.
+  void post_many(ActorHost& host, std::span<proto::Envelope> envelopes);
+  // After a post into `host`'s mailbox: queues the host for a turn and
+  // drives or unparks as `post` describes. Called with `lock` held; may
+  // release it.
+  void schedule(std::unique_lock<std::mutex>& lock, ActorHost& host,
+                bool may_drive);
   // Queues `host` for a turn. True when the serving thread is parked and no
   // caller drives: then the caller must unpark it or drive.
   bool make_ready(ActorHost& host);
@@ -201,6 +223,9 @@ class ActorHost {
 
   // Enqueues an envelope for delivery to this actor.
   void post(proto::Envelope envelope);
+  // Enqueues a run of envelopes (moved from) in order, taking the mailbox
+  // lock and readying or waking the serving thread once for the whole run.
+  void post_many(std::span<proto::Envelope> envelopes);
   // Runs `fn` in the actor's context (serialized with handlers).
   void post_closure(ActorClosure fn);
   // post_closure, and when the serving thread is parked and no one else

@@ -9,8 +9,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -23,6 +25,12 @@ constexpr std::string_view kLog = "tcp";
 
 // Frames batched into a single writev: each entry is one whole frame.
 constexpr int kMaxIov = 128;
+
+// Decoded frames posted to a host per mailbox lock. Bounded so the host
+// starts on the first frames of a large recv while the loop decodes the
+// rest: unbounded runs cost throughput and p50 latency (EXPERIMENTS.md,
+// E14).
+constexpr std::size_t kDeliveryRun = 64;
 
 // Writes exactly `len` bytes; false on any error (connection is then dead).
 bool write_all(int fd, const void* data, std::size_t len) {
@@ -96,6 +104,15 @@ struct TcpRuntime::Channel {
   std::size_t write_offset = 0;  // bytes of writing[writing_begin] sent
 };
 
+// One encoded frame of a turn on its way to a channel; `index` is the
+// envelope's position in the turn.
+struct TcpRuntime::Outgoing {
+  NodeId to;
+  std::uint16_t port = 0;
+  std::uint32_t index = 0;
+  Bytes frame;
+};
+
 struct TcpRuntime::Inbound {
   int fd = -1;
   FrameParser parser;
@@ -107,6 +124,11 @@ TcpRuntime::TcpRuntime(TcpConfig config) : config_(config) {
   if (config_.mode == TcpMode::kEventLoop) {
     loop_ = std::make_unique<EventLoop>(config_.force_poll);
     read_buf_.resize(256u << 10);
+    run_.reserve(kDeliveryRun);
+    // Both twins of each queue start with capacity, so a turn that wakes
+    // the loop for several channels never grows the one it lands in.
+    tasks_.reserve(64);
+    dirty_.reserve(64);
     loop_->set_wake_handler([this] {
       // Reuse two member vectors per queue so the producer side keeps its
       // capacity (the steady-state send path must not allocate).
@@ -174,10 +196,20 @@ ActorHost& TcpRuntime::add(std::unique_ptr<proto::Actor> actor, bool autostart,
   }
 
   ActorHost& host = *entry->host;
+  bool first = false;
   {
     const std::unique_lock lock(registry_mutex_);
+    first = nodes_.empty();
     nodes_.emplace(host.id(), std::move(entry));
   }
+#if defined(__linux__)
+  // Named after its first host, as mailbox threads are, so /proc and
+  // profilers tell the loops of co-resident runtimes apart.
+  if (first && loop_thread_.joinable()) {
+    const std::string name = "tcp-" + std::to_string(host.id().value());
+    ::pthread_setname_np(loop_thread_.native_handle(), name.substr(0, 15).c_str());
+  }
+#endif
   if (autostart) host.start();
   return host;
 }
@@ -197,8 +229,7 @@ std::uint64_t TcpRuntime::bytes_sent() const noexcept {
   return bytes_sent_.load(std::memory_order_relaxed);
 }
 
-std::uint16_t TcpRuntime::lookup_port(NodeId to) const {
-  const std::shared_lock lock(registry_mutex_);
+std::uint16_t TcpRuntime::port_locked(NodeId to) const {
   if (const auto it = nodes_.find(to); it != nodes_.end()) {
     return it->second->port;
   }
@@ -232,27 +263,62 @@ int TcpRuntime::connect_to(std::uint16_t port, bool nonblocking) {
 
 // --- send paths --------------------------------------------------------------
 
-void TcpRuntime::route(proto::Envelope envelope) {
+void TcpRuntime::route(proto::Envelope envelope) { route_batch({&envelope, 1}); }
+
+void TcpRuntime::route_batch(std::span<proto::Envelope> envelopes) {
   if (stopping_.load(std::memory_order_relaxed)) return;
-  const std::uint16_t port = lookup_port(envelope.to);
-  if (port == 0) return;  // unknown peer: drop
+  // The calling thread's scratch keeps its capacity, so a warm turn
+  // allocates nothing.
+  thread_local std::vector<Outgoing> outgoing;
+  thread_local std::vector<std::shared_ptr<Channel>> woken;
+  outgoing.clear();
+  {
+    const std::shared_lock lock(registry_mutex_);
+    for (std::size_t i = 0; i < envelopes.size(); ++i) {
+      const std::uint16_t port = port_locked(envelopes[i].to);
+      if (port == 0) continue;  // unknown peer: drop
+      outgoing.push_back({envelopes[i].to, port, static_cast<std::uint32_t>(i), {}});
+    }
+  }
 
   if (config_.mode == TcpMode::kThreadPerConn) {
-    route_legacy(envelope, port);
+    for (const Outgoing& out : outgoing) route_legacy(envelopes[out.index], out.port);
     return;
   }
 
-  // Build [u32 len][payload] in one pooled buffer: zero heap allocations
-  // once the pool is warm.
-  Bytes frame = pool_.acquire();
-  frame.resize(4);  // length placeholder, patched below
-  proto::encode_into(envelope, frame);
-  const auto len = static_cast<std::uint32_t>(frame.size() - 4);
-  std::memcpy(frame.data(), &len, 4);  // little-endian hosts only
-  enqueue_frame(envelope.to, port, std::move(frame));
+  // Build each [u32 len][payload] in one pooled buffer: zero heap
+  // allocations once the pool is warm.
+  for (Outgoing& out : outgoing) {
+    out.frame = pool_.acquire();
+    out.frame.resize(4);  // length placeholder, patched below
+    proto::encode_into(envelopes[out.index], out.frame);
+    const auto len = static_cast<std::uint32_t>(out.frame.size() - 4);
+    std::memcpy(out.frame.data(), &len, 4);  // little-endian hosts only
+  }
+  // Group by destination, in turn order within each.
+  std::sort(outgoing.begin(), outgoing.end(), [](const Outgoing& a, const Outgoing& b) {
+    return a.to != b.to ? a.to < b.to : a.index < b.index;
+  });
+  for (std::size_t begin = 0; begin < outgoing.size();) {
+    std::size_t end = begin + 1;
+    while (end < outgoing.size() && outgoing[end].to == outgoing[begin].to) ++end;
+    if (auto channel = enqueue_frames({outgoing.data() + begin, end - begin})) {
+      woken.push_back(std::move(channel));
+    }
+    begin = end;
+  }
+  if (woken.empty()) return;
+  {
+    const std::scoped_lock lock(loop_in_mutex_);
+    for (auto& channel : woken) dirty_.push_back(std::move(channel));
+  }
+  woken.clear();
+  loop_->wake();
 }
 
-void TcpRuntime::enqueue_frame(NodeId to, std::uint16_t port, Bytes frame) {
+std::shared_ptr<TcpRuntime::Channel> TcpRuntime::enqueue_frames(
+    std::span<Outgoing> run) {
+  const NodeId to = run.front().to;
   // Two attempts: the first may land on a channel that just died; the
   // retry re-looks it up (the failure path erased it) and creates a fresh
   // connection — mirroring the legacy engine's reconnect-once semantics.
@@ -260,36 +326,23 @@ void TcpRuntime::enqueue_frame(NodeId to, std::uint16_t port, Bytes frame) {
     std::shared_ptr<Channel> channel;
     {
       const std::scoped_lock lock(channels_mutex_);
-      const auto it = channels_.find(to);
-      if (it != channels_.end()) {
-        channel = it->second;
-      } else {
-        channel = std::make_shared<Channel>();
-        channel->dest = to;
-        channel->port = port;
-        channels_.emplace(to, channel);
+      std::shared_ptr<Channel>& slot = channels_[to];
+      if (!slot) {
+        slot = std::make_shared<Channel>();
+        slot->dest = to;
+        slot->port = run.front().port;
       }
+      channel = slot;
     }
-    bool need_wake = false;
-    {
-      const std::scoped_lock lock(channel->mutex);
-      if (channel->dead) continue;
-      channel->pending.push_back(std::move(frame));
-      if (!channel->wake_queued) {
-        channel->wake_queued = true;
-        need_wake = true;
-      }
-    }
-    if (need_wake) {
-      {
-        const std::scoped_lock lock(loop_in_mutex_);
-        dirty_.push_back(std::move(channel));
-      }
-      loop_->wake();
-    }
-    return;
+    const std::scoped_lock lock(channel->mutex);
+    if (channel->dead) continue;
+    for (Outgoing& out : run) channel->pending.push_back(std::move(out.frame));
+    if (channel->wake_queued) return nullptr;
+    channel->wake_queued = true;
+    return channel;
   }
-  pool_.release(std::move(frame));
+  for (Outgoing& out : run) pool_.release(std::move(out.frame));
+  return nullptr;
 }
 
 void TcpRuntime::route_legacy(const proto::Envelope& envelope,
@@ -605,12 +658,19 @@ void TcpRuntime::loop_accept(NodeEntry* entry) {
 }
 
 void TcpRuntime::loop_read(const std::shared_ptr<Inbound>& inbound) {
+  const auto post_run = [this] {
+    if (run_.empty()) return;
+    deliver(run_);
+    run_.clear();
+  };
   for (;;) {
     const ssize_t n =
         ::recv(inbound->fd, read_buf_.data(), read_buf_.size(), 0);
     if (n > 0) {
       TASKLETS_COUNT("net.tcp.bytes_in", n);
       inbound->parser.feed(read_buf_.data(), static_cast<std::size_t>(n));
+      // The frames of this recv go out in runs of consecutive frames for
+      // one host, at most kDeliveryRun each.
       for (;;) {
         const auto frame = inbound->parser.next();
         if (frame.empty()) break;
@@ -619,11 +679,17 @@ void TcpRuntime::loop_read(const std::shared_ptr<Inbound>& inbound) {
         if (!envelope.is_ok()) {
           TASKLETS_LOG(kWarn, kLog) << "undecodable frame: "
                                     << envelope.status().to_string();
+          post_run();
           loop_close_inbound(inbound);  // protocol confusion: drop the conn
           return;
         }
-        deliver(std::move(envelope).value());
+        if (!run_.empty() && (run_.size() == kDeliveryRun ||
+                              run_.front().to != envelope->to)) {
+          post_run();
+        }
+        run_.push_back(std::move(envelope).value());
       }
+      post_run();
       if (inbound->parser.bad_frame()) {
         TASKLETS_LOG(kWarn, kLog) << "bad frame length; closing";
         loop_close_inbound(inbound);
@@ -648,14 +714,12 @@ void TcpRuntime::loop_close_inbound(const std::shared_ptr<Inbound>& inbound) {
   inbound_.erase(inbound->fd);
 }
 
-void TcpRuntime::deliver(proto::Envelope envelope) {
-  ActorHost* target = nullptr;
-  {
-    const std::shared_lock lock(registry_mutex_);
-    const auto it = nodes_.find(envelope.to);
-    if (it != nodes_.end()) target = it->second->host.get();
-  }
-  if (target != nullptr) target->post(std::move(envelope));
+void TcpRuntime::deliver(std::span<proto::Envelope> run) {
+  // Post under the registry lock: stop_all unpublishes the hosts under the
+  // exclusive lock before it stops them, so no post reaches a stopped host.
+  const std::shared_lock lock(registry_mutex_);
+  const auto it = nodes_.find(run.front().to);
+  if (it != nodes_.end()) it->second->host->post_many(run);
 }
 
 // --- legacy thread-per-connection engine -------------------------------------
@@ -698,7 +762,7 @@ void TcpRuntime::reader_loop(int fd) {
                                 << envelope.status().to_string();
       break;  // protocol confusion: drop the connection
     }
-    deliver(std::move(envelope).value());
+    deliver({&envelope.value(), 1});
   }
   ::close(fd);
 }

@@ -18,12 +18,27 @@
 //
 //  - kEventLoop (default): one readiness event loop (net/event_loop.hpp)
 //    drives every listener, inbound and outbound socket of the runtime on
-//    one thread. Senders append encoded frames to a per-destination write
-//    queue and wake the loop; the loop coalesces queued frames into writev
-//    batches and recycles their buffers through a BufferPool, so the
-//    steady-state send path performs zero per-frame heap allocations. This
-//    is the engine that holds 10k+ provider connections in one process
-//    (bench/bench_swarm.cpp, experiment E14).
+//    one thread, named "tcp-<first host id>". Senders append encoded frames
+//    to a per-destination write queue and wake the loop; the loop coalesces
+//    queued frames into writev batches and recycles their buffers through a
+//    BufferPool, so the steady-state send path performs zero per-frame heap
+//    allocations. This is the engine that holds 10k+ provider connections
+//    in one process (bench/bench_swarm.cpp, experiment E14).
+//
+//    Both hand-offs between the loop and the hosts' mailbox threads go in
+//    runs. A host's turn routes its whole outbox through route_batch: ports
+//    resolved under one registry lock, each destination's frames appended
+//    under one channel lock, at most one loop wake. The loop posts the
+//    frames decoded from one recv to their host in runs of consecutive
+//    frames for that host, at most 64 each, through ActorHost::post_many:
+//    one mailbox lock and at most one wake per run. The bound lets the host
+//    start on a run while the loop decodes the next.
+//
+//    The loop and the hosts keep separate threads. Running the hosts' turns
+//    on the loop thread removes the hand-offs, but then decoding, handlers,
+//    encoding and syscalls share one core: a prototype of that design saved
+//    CPU yet lost throughput and p50 latency on pipeline_tcp
+//    (EXPERIMENTS.md, E14).
 //
 //  - kThreadPerConn: the original thread-per-connection engine (one
 //    acceptor thread per node, one reader thread per inbound socket,
@@ -36,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -77,7 +93,11 @@ class TcpRuntime final : public Runtime {
 
   // Serializes the envelope and sends it over the pooled connection to the
   // destination's listener. Unknown destination or I/O failure: dropped.
+  // The same path as route_batch with one envelope.
   void route(proto::Envelope envelope) override;
+  // Sends a turn's envelopes, in order per destination, with one registry
+  // lock, one channel lock per destination and at most one loop wake.
+  void route_batch(std::span<proto::Envelope> envelopes) override;
 
   [[nodiscard]] SimTime now() const override { return clock_.now(); }
   void stop_all() override;
@@ -101,14 +121,22 @@ class TcpRuntime final : public Runtime {
   struct NodeEntry;
   struct Channel;
   struct Inbound;
+  struct Outgoing;
 
   // --- shared helpers -------------------------------------------------------
-  [[nodiscard]] std::uint16_t lookup_port(NodeId to) const;
+  // Listener port of `to`, local nodes first; 0 if unknown. Caller holds
+  // registry_mutex_.
+  [[nodiscard]] std::uint16_t port_locked(NodeId to) const;
   [[nodiscard]] int open_listener(std::uint16_t* port_out);
+  // Posts a run of envelopes, all for one host, to that host. Any thread.
+  void deliver(std::span<proto::Envelope> run);
 
   // --- event-loop engine (loop-thread-only unless noted) --------------------
   void loop_enqueue(std::function<void()> task);          // any thread
-  void enqueue_frame(NodeId to, std::uint16_t port, Bytes frame);  // any thread
+  // Appends one destination's frames, in order, to its channel's queue
+  // under one channel lock. Returns the channel when the loop must be woken
+  // for it. Any thread.
+  std::shared_ptr<Channel> enqueue_frames(std::span<Outgoing> run);
   void loop_flush_channel(const std::shared_ptr<Channel>& channel);
   void loop_start_connect(const std::shared_ptr<Channel>& channel);
   void loop_fail_channel(const std::shared_ptr<Channel>& channel);
@@ -116,7 +144,6 @@ class TcpRuntime final : public Runtime {
   void loop_accept(NodeEntry* entry);
   void loop_read(const std::shared_ptr<Inbound>& inbound);
   void loop_close_inbound(const std::shared_ptr<Inbound>& inbound);
-  void deliver(proto::Envelope envelope);
 
   // --- legacy thread-per-connection engine ----------------------------------
   void accept_loop(NodeEntry* entry);
@@ -140,9 +167,11 @@ class TcpRuntime final : public Runtime {
   std::vector<std::shared_ptr<Channel>> dirty_;
   std::mutex channels_mutex_;
   std::unordered_map<NodeId, std::shared_ptr<Channel>> channels_;
-  // Loop-thread-only: live inbound connections and a reusable read buffer.
+  // Loop-thread-only: live inbound connections, a reusable read buffer and
+  // the decoded frames of the run loop_read is gathering.
   std::unordered_map<int, std::shared_ptr<Inbound>> inbound_;
   std::vector<std::byte> read_buf_;
+  std::vector<proto::Envelope> run_;
 
   // Legacy engine state.
   std::mutex connections_mutex_;

@@ -8,10 +8,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <latch>
 #include <memory>
@@ -109,6 +112,34 @@ class Recorder final : public proto::Actor {
   std::atomic<int> timer_fires_{0};
   std::atomic<std::uint64_t> last_timer_{0};
   std::atomic<std::uint64_t> last_from_{0};
+};
+
+// Records the sequence number each heartbeat carries in busy_slots, so a
+// test can check per-destination order.
+class SequenceRecorder final : public proto::Actor {
+ public:
+  explicit SequenceRecorder(NodeId id) : Actor(id) {}
+
+  void on_start(SimTime, proto::Outbox&) override {}
+  void on_message(const proto::Envelope& envelope, SimTime,
+                  proto::Outbox&) override {
+    const std::scoped_lock lock(mutex_);
+    seen_.push_back(std::get<proto::Heartbeat>(envelope.payload).busy_slots);
+  }
+  void on_timer(std::uint64_t, SimTime, proto::Outbox&) override {}
+
+  [[nodiscard]] std::vector<std::uint32_t> seen() const {
+    const std::scoped_lock lock(mutex_);
+    return seen_;
+  }
+  [[nodiscard]] std::size_t count() const {
+    const std::scoped_lock lock(mutex_);
+    return seen_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::uint32_t> seen_;
 };
 
 template <typename Pred>
@@ -749,14 +780,130 @@ TEST(TcpTest, PollBackendEndToEnd) {
   EXPECT_TRUE(eventually([&] { return recorder_b->messages() == kCount; }));
 }
 
+// --- Batched hand-offs: route_batch out, post_many in -------------------------------
+
+// One turn's outbox leaves through one route_batch: ~1,000 envelopes
+// interleaved across three destinations (nodes 2, 3 and 4) must arrive
+// complete and in turn order at each of them.
+TEST(TcpTest, OneTurnToThreeDestinationsArrivesInOrderPerDestination) {
+  TcpRuntime runtime;
+  auto& sender = runtime.add(std::make_unique<Recorder>(NodeId{1}));
+  std::vector<SequenceRecorder*> recorders;
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    auto& host = runtime.add(std::make_unique<SequenceRecorder>(NodeId{id}));
+    recorders.push_back(static_cast<SequenceRecorder*>(&host.actor()));
+  }
+
+  constexpr std::uint32_t kEnvelopes = 999;
+  sender.post_closure([](SimTime, proto::Outbox& out) {
+    for (std::uint32_t seq = 0; seq < kEnvelopes; ++seq) {
+      out.send(NodeId{2 + seq % 3}, proto::Heartbeat{seq, 0});
+    }
+  });
+  for (std::size_t d = 0; d < recorders.size(); ++d) {
+    ASSERT_TRUE(eventually(
+        [&] { return recorders[d]->count() == kEnvelopes / 3; }, 10000ms))
+        << "destination " << d + 2 << " got " << recorders[d]->count();
+    const std::vector<std::uint32_t> seen = recorders[d]->seen();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i], 3 * i + d) << "destination " << d + 2 << ", frame " << i;
+    }
+  }
+}
+
+// The loop posts the frames of one recv in runs of at most 64 consecutive
+// frames for one host. One write carrying 100 frames for node 2, then 100
+// alternating between nodes 2 and 3, then 70 more for node 2, crosses both
+// run boundaries (size and destination); each host must see its frames in
+// wire order.
+TEST(TcpTest, OneRecvOfRunsForTwoHostsArrivesInOrder) {
+  TcpRuntime runtime;
+  auto& two = runtime.add(std::make_unique<SequenceRecorder>(NodeId{2}));
+  auto& three = runtime.add(std::make_unique<SequenceRecorder>(NodeId{3}));
+  auto* recorder_two = static_cast<SequenceRecorder*>(&two.actor());
+  auto* recorder_three = static_cast<SequenceRecorder*>(&three.actor());
+
+  Bytes stream;
+  std::vector<std::uint32_t> want_two, want_three;
+  std::uint32_t seq = 0;
+  const auto append = [&](NodeId to) {
+    const Bytes frame = encode_frame({NodeId{9}, to, proto::Heartbeat{seq, 0}});
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    (to == NodeId{2} ? want_two : want_three).push_back(seq++);
+  };
+  for (int i = 0; i < 100; ++i) append(NodeId{2});
+  for (int i = 0; i < 100; ++i) append(NodeId{i % 2 == 0 ? 2u : 3u});
+  for (int i = 0; i < 70; ++i) append(NodeId{2});
+
+  const int fd = connect_loopback(runtime.port_of(NodeId{2}));
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  EXPECT_TRUE(eventually([&] {
+    return recorder_two->count() == want_two.size() &&
+           recorder_three->count() == want_three.size();
+  }));
+  EXPECT_EQ(recorder_two->seen(), want_two);
+  EXPECT_EQ(recorder_three->seen(), want_three);
+  ::close(fd);
+}
+
+// stop_all on a runtime while a peer runtime streams frames into it: its
+// loop is joined while runs are being posted, and the sender keeps routing
+// to the vanished peer. Both shut down cleanly (the tsan CI job runs this).
+TEST(TcpTest, StopAllWhileAPeerStreamsFramesIn) {
+  auto receiver = std::make_unique<TcpRuntime>();
+  TcpRuntime sender;
+  auto& host = receiver->add(std::make_unique<Recorder>(NodeId{2}));
+  auto* recorder = static_cast<Recorder*>(&host.actor());
+  sender.add(std::make_unique<Recorder>(NodeId{1}));
+  sender.add_remote(NodeId{2}, receiver->port_of(NodeId{2}));
+
+  std::atomic<bool> stop{false};
+  std::thread streamer([&] {
+    std::vector<proto::Envelope> turn;
+    while (!stop.load()) {
+      turn.assign(32, proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{}});
+      sender.route_batch(turn);
+      std::this_thread::sleep_for(50us);  // bounds the sender's queue
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return recorder->messages() > 1000; }));
+  receiver->stop_all();  // destroys the recorder
+  receiver.reset();
+  std::this_thread::sleep_for(20ms);  // routes to a closed listener
+  stop.store(true);
+  streamer.join();
+  sender.stop_all();
+}
+
+#if defined(__linux__)
+TEST(TcpTest, LoopThreadIsNamedAfterItsFirstHost) {
+  TcpRuntime runtime;
+  runtime.add(std::make_unique<Recorder>(NodeId{4711}));
+  runtime.add(std::make_unique<Recorder>(NodeId{4712}));
+  int named = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name == "tcp-4711") ++named;
+    EXPECT_NE(name, "tcp-4712");
+  }
+  EXPECT_EQ(named, 1);
+}
+#endif
+
 // The tentpole's zero-allocation claim, measured: once the buffer pool and
-// the channel's queues are warm, route() on the submitting thread performs
-// no heap allocations at all.
+// the channel's queues are warm, route() and a multi-destination
+// route_batch() on the submitting thread perform no heap allocations at all.
 TEST(TcpTest, SteadyStateSubmitPathDoesNotAllocate) {
   TcpRuntime runtime;
   runtime.add(std::make_unique<Recorder>(NodeId{1}));
   auto& b = runtime.add(std::make_unique<Recorder>(NodeId{2}));
   auto* recorder_b = static_cast<Recorder*>(&b.actor());
+  auto& c = runtime.add(std::make_unique<Recorder>(NodeId{3}));
+  auto* recorder_c = static_cast<Recorder*>(&c.actor());
 
   // Warm up: fill the pool, grow the queues, bind the metric statics.
   constexpr int kWarm = 300;
@@ -777,6 +924,39 @@ TEST(TcpTest, SteadyStateSubmitPathDoesNotAllocate) {
     allocs += t_alloc_count;
     ASSERT_TRUE(
         eventually([&] { return recorder_b->messages() == kWarm + i + 1; }));
+  }
+  EXPECT_EQ(allocs, 0u);
+
+  // A turn's outbox, interleaved across two destinations, through the
+  // batched path an ActorHost's dispatch takes.
+  std::array<proto::Envelope, 6> turn;
+  const auto fill_turn = [&] {
+    for (std::size_t j = 0; j < turn.size(); ++j) {
+      turn[j] = proto::Envelope{NodeId{1}, NodeId{2 + j % 2}, proto::Heartbeat{}};
+    }
+  };
+  const int b_base = recorder_b->messages();
+  const int per_dest = static_cast<int>(turn.size() / 2);
+  for (int i = 0; i < kWarm; ++i) {
+    fill_turn();
+    runtime.route_batch(turn);
+  }
+  ASSERT_TRUE(eventually([&] {
+    return recorder_b->messages() == b_base + kWarm * per_dest &&
+           recorder_c->messages() == kWarm * per_dest;
+  }));
+  allocs = 0;
+  for (int i = 0; i < kMeasured; ++i) {
+    fill_turn();
+    t_alloc_count = 0;
+    t_count_allocs = true;
+    runtime.route_batch(turn);
+    t_count_allocs = false;
+    allocs += t_alloc_count;
+    ASSERT_TRUE(eventually([&] {
+      return recorder_c->messages() == (kWarm + i + 1) * per_dest &&
+             recorder_b->messages() == b_base + (kWarm + i + 1) * per_dest;
+    }));
   }
   EXPECT_EQ(allocs, 0u);
 }

@@ -686,7 +686,7 @@ TEST(MerkleDigest, SeededSweepFindsNoCollisions) {
         proto::SyntheticBody leaf;
         leaf.fuel = 1 + rng.next_below(1000);
         leaf.result = static_cast<std::int64_t>(rng.next_below(1000));
-        spec.nodes.push_back({leaf, {}});
+        spec.nodes.emplace_back().body = leaf;
         continue;
       }
       proto::VmBody body;
