@@ -122,7 +122,10 @@ void run_workload(core::TaskletSystem& system, const Workload& workload) {
 // under three store configurations. "submit+assign" counts SubmitTasklet,
 // AssignTasklet and the r3 pull pair (FetchProgram/ProgramData) — the
 // traffic the store is allowed to touch; results and heartbeats are
-// excluded so the comparison isolates the dedup effect.
+// excluded so the comparison isolates the dedup effect. Gate: program dedup
+// and memoization both fire, no memoized repeat reaches a provider, and the
+// store cuts submit+assign bytes by at least half; a miss makes the bench
+// exit nonzero.
 std::uint64_t e9_submit_assign_bytes(core::SimCluster& cluster) {
   const auto& by_message = cluster.wire_bytes_by_message();
   std::uint64_t bytes = 0;
@@ -135,7 +138,7 @@ std::uint64_t e9_submit_assign_bytes(core::SimCluster& cluster) {
   return bytes;
 }
 
-void run_e9_store() {
+int run_e9_store() {
   using bench::header;
   using bench::line;
 
@@ -146,6 +149,7 @@ void run_e9_store() {
   line("%-12s %16s %14s %12s %10s", "config", "submit+assign(B)", "bytes/task",
        "dedup_hits", "memo_hits");
 
+  std::uint64_t store_dedup_hits = 0;
   auto fan_out = [&](bool store_on) {
     core::SimConfig config;
     config.consumer.dedup_programs = store_on;
@@ -163,6 +167,7 @@ void run_e9_store() {
     if (!cluster.run_until_quiescent()) std::abort();
     const std::uint64_t bytes = e9_submit_assign_bytes(cluster);
     const auto& stats = cluster.broker().stats();
+    if (store_on) store_dedup_hits = stats.program_dedup_hits;
     line("%-12s %16llu %14.0f %12llu %10llu", store_on ? "store" : "off",
          static_cast<unsigned long long>(bytes),
          static_cast<double>(bytes) / kRows,
@@ -230,11 +235,34 @@ void run_e9_store() {
        static_cast<unsigned long long>(memo_attempts));
   line("csv,E9,reduction,%.1f", reduction);
   line("csv,E9,memo_attempts,%llu", static_cast<unsigned long long>(memo_attempts));
-  line("");
-  line("shape check: the program ships once per consumer and once per");
-  line("provider instead of once per tasklet, so submit+assign bytes drop");
-  line("by more than half on a repeated-kernel fan-out; memoized repeats");
-  line("skip providers entirely (broker-local answers, zero attempts).");
+
+  bool failed = false;
+  if (store_dedup_hits == 0) {
+    line("FAIL: program dedup never fired on the store fan-out");
+    failed = true;
+  }
+  if (memo_hits == 0) {
+    line("FAIL: memoization never fired");
+    failed = true;
+  }
+  if (memo_attempts != 0) {
+    line("FAIL: %llu memoized repeat attempt(s) reached providers",
+         static_cast<unsigned long long>(memo_attempts));
+    failed = true;
+  }
+  if (!(reduction >= 50.0)) {
+    line("FAIL: submit+assign reduction %.1f%% is below the 50%% target",
+         reduction);
+    failed = true;
+  }
+  if (!failed) {
+    line("");
+    line("shape check: the program ships once per consumer and once per");
+    line("provider instead of once per tasklet, so submit+assign bytes drop");
+    line("by more than half on a repeated-kernel fan-out; memoized repeats");
+    line("skip providers entirely (broker-local answers, zero attempts).");
+  }
+  return failed ? 1 : 0;
 }
 
 // E12 — trace attribution: phase-sum exactness + analysis overhead (gate).
@@ -448,6 +476,7 @@ int main() {
   line("multi-ms kernels; vm/native is a constant interpretation factor");
   line("(the price of portability across heterogeneous devices).");
 
-  run_e9_store();
-  return run_e12_attribution();
+  const int e9 = run_e9_store();
+  const int e12 = run_e12_attribution();
+  return e9 != 0 || e12 != 0 ? 1 : 0;
 }

@@ -8,6 +8,8 @@
 // dominates on the heavy-tailed workload where binding a huge tasklet to a
 // slow device is catastrophic; fairness is highest for round_robin by
 // construction.
+#include <limits>
+
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 
@@ -122,6 +124,15 @@ int main() {
   const sim::DeviceProfile straggler =
       sim::straggler_profile(sim::desktop_profile(), 0.025);
 
+  // The gated cell: on churn_trace level 3, adaptive must not lose to
+  // qoc_aware on deadline-hit rate or p99 (NaN until the cell has run).
+  struct HitP99 {
+    double hit = std::numeric_limits<double>::quiet_NaN();
+    double p99 = std::numeric_limits<double>::quiet_NaN();
+  };
+  HitP99 gated_static;
+  HitP99 gated_adaptive;
+
   const std::vector<std::string> scenarios = {"straggler", "diurnal",
                                               "churn_trace", "correlated"};
   for (const auto& scenario : scenarios) {
@@ -220,6 +231,10 @@ int main() {
              metrics.p99_latency_s, metrics.mean_latency_s,
              static_cast<unsigned long long>(stats.straggler_reassigns),
              static_cast<unsigned long long>(stats.speculations));
+        if (scenario == "churn_trace" && level == 3) {
+          (policy == "adaptive" ? gated_adaptive : gated_static) =
+              HitP99{metrics.deadline_hit_rate, metrics.p99_latency_s};
+        }
       }
     }
   }
@@ -229,6 +244,14 @@ int main() {
   line("in every scenario, and the gap widens with the straggler count and");
   line("churn intensity — the static policy keeps trusting stale benchmarks,");
   line("the adaptive one reroutes after a handful of measured completions.");
+  const bool e10_failed = !(gated_adaptive.hit >= gated_static.hit &&
+                            gated_adaptive.p99 <= gated_static.p99);
+  if (e10_failed) {
+    line("E10 FAILED: on churn_trace level 3 adaptive (hit %.4f, p99 %.4fs)",
+         gated_adaptive.hit, gated_adaptive.p99);
+    line("lost to qoc_aware (hit %.4f, p99 %.4fs)", gated_static.hit,
+         gated_static.p99);
+  }
 
   // --- E11: heterogeneity score vs measured speed dispersion ----------------
   //
@@ -289,5 +312,5 @@ int main() {
   line("");
   line("shape check: the score is ~0 for the uniform pool and rises strictly");
   line("with every widening of the measured-speed spread, bounded in [0, 1).");
-  return 0;
+  return e10_failed ? 1 : 0;
 }

@@ -6,17 +6,16 @@
 // TCP transport (net/tcp.hpp) with up to 10k simulated providers living
 // behind ONE listener socket: the broker pools one outbound connection per
 // provider id, so the broker process genuinely holds N send channels and the
-// event-loop engine's whole reason to exist (readiness multiplexing, writev
+// event loop's whole reason to exist (readiness multiplexing, writev
 // coalescing, pooled frame buffers, batched broker ticks) is on the hook.
 //
-// The table to reproduce:
-//   rows    — transport engine (event loop vs. the thread-per-connection
-//             baseline, the latter at a reduced provider count it can hold),
-//   columns — submits/sec through one broker, p50/p99 end-to-end latency,
-//             and the amortized dispatch floor (wall / completed), to be
-//             read against E1's serial dispatch floor (~18 us): with the
-//             submission window keeping the pipeline full, batching must
-//             push the amortized floor *below* the serial one.
+// The row to reproduce: submits/sec through one broker, p50/p99 end-to-end
+// latency, the amortized dispatch floor (wall / completed), frames per
+// writev and consumer resubmits. The floor is read against E1's serial
+// dispatch floor: with the submission window keeping the pipeline full,
+// batching must push the amortized floor below the serial one. The swarm
+// must complete every tasklet without a resubmit; the bench exits non-zero
+// when one is resubmitted or the run fails.
 //
 // Providers are simulated by a SwarmHarness: an event loop + frame parser
 // accepting the broker's connections, a timer wheel delaying each
@@ -26,8 +25,6 @@
 //
 // CLI (defaults reproduce the full experiment; CI runs a small smoke):
 //   bench_swarm [--providers N] [--tasklets N] [--window N] [--slots N]
-//               [--baseline-providers N] [--baseline-tasklets N]
-//               [--no-baseline] [--no-eventloop]
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <pthread.h>
@@ -395,23 +392,22 @@ struct CellResult {
   double dispatch_us = 0.0;  // amortized: wall / completed
   std::uint64_t completed = 0;
   std::uint64_t writev_calls = 0;
-  std::uint64_t frames_coalesced = 0;
+  std::uint64_t frames_out = 0;
+  double frames_per_writev = 0.0;  // frames_out / writev_calls
   std::uint64_t resubmits = 0;
   std::size_t batches = 0;     // broker mailbox bursts observed
   double batch_p50 = 0.0;      // messages per burst
   double batch_p95 = 0.0;
 };
 
-// Runs one table cell: a broker + consumer on real TCP runtimes against a
+// Runs the experiment: a broker + consumer on real TCP runtimes against a
 // simulated swarm, pushing `tasklets` submissions through a fixed-size
 // in-flight window.
-CellResult run_cell(net::TcpMode mode, std::size_t providers, std::size_t tasklets,
+CellResult run_cell(std::size_t providers, std::size_t tasklets,
                     std::size_t window, std::uint32_t slots) {
   CellResult cell;
-  net::TcpConfig tcp_config;
-  tcp_config.mode = mode;
-  net::TcpRuntime broker_rt(tcp_config);
-  net::TcpRuntime consumer_rt(tcp_config);
+  net::TcpRuntime broker_rt;
+  net::TcpRuntime consumer_rt;
 
   broker::BrokerConfig broker_config;
   // The harness never heartbeats: park the liveness machinery out of the way.
@@ -530,7 +526,11 @@ CellResult run_cell(net::TcpMode mode, std::size_t providers, std::size_t taskle
   cell.p99_ms = state->latencies_ms.p99();
   cell.dispatch_us = elapsed * 1e6 / static_cast<double>(state->completed);
   cell.writev_calls = registry.counter("net.tcp.writev_calls").value();
-  cell.frames_coalesced = registry.counter("net.tcp.frames_coalesced").value();
+  cell.frames_out = registry.counter("net.tcp.frames_out").value();
+  cell.frames_per_writev =
+      cell.writev_calls == 0 ? 0.0
+                             : static_cast<double>(cell.frames_out) /
+                                   static_cast<double>(cell.writev_calls);
   cell.resubmits = consumer->stats().resubmits;
   const auto batch_hist = registry.histogram("broker.batch.size").snapshot();
   cell.batches = batch_hist.count();
@@ -550,10 +550,6 @@ int main(int argc, char** argv) {
   std::size_t tasklets = 1'000'000;
   std::size_t window = 4096;
   std::uint32_t slots = 4;
-  std::size_t baseline_providers = 256;
-  std::size_t baseline_tasklets = 50'000;
-  bool run_baseline = true;
-  bool run_eventloop = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -564,10 +560,6 @@ int main(int argc, char** argv) {
     else if (arg == "--tasklets") tasklets = next();
     else if (arg == "--window") window = next();
     else if (arg == "--slots") slots = static_cast<std::uint32_t>(next());
-    else if (arg == "--baseline-providers") baseline_providers = next();
-    else if (arg == "--baseline-tasklets") baseline_tasklets = next();
-    else if (arg == "--no-baseline") run_baseline = false;
-    else if (arg == "--no-eventloop") run_eventloop = false;
     else {
       std::fprintf(stderr, "unknown arg: %s\n", argv[i]);
       return 2;
@@ -587,54 +579,29 @@ int main(int argc, char** argv) {
   bench::header("E14", "swarm scale: one broker, simulated provider swarm over TCP");
   bench::line("  providers=%zu slots=%u tasklets=%zu window=%zu fd_limit=%zu",
               providers, slots, tasklets, window, fd_limit);
-  bench::line("  %-16s %10s %12s %10s %10s %12s", "engine", "providers",
-              "submits/s", "p50 ms", "p99 ms", "dispatch us");
+  bench::line("  %10s %12s %10s %10s %12s", "providers", "submits/s", "p50 ms",
+              "p99 ms", "dispatch us");
 
-  CellResult event_cell;
-  if (run_eventloop) {
-    event_cell = run_cell(net::TcpMode::kEventLoop, providers, tasklets, window, slots);
-    if (event_cell.ok) {
-      bench::line("  %-16s %10zu %12.0f %10.2f %10.2f %12.2f", "event-loop",
-                  providers, event_cell.submits_per_sec, event_cell.p50_ms,
-                  event_cell.p99_ms, event_cell.dispatch_us);
-      bench::line(
-          "    writev=%llu coalesced=%llu (%.2f frames/writev) resubmits=%llu",
-          static_cast<unsigned long long>(event_cell.writev_calls),
-          static_cast<unsigned long long>(event_cell.frames_coalesced),
-          event_cell.writev_calls == 0
-              ? 0.0
-              : static_cast<double>(event_cell.frames_coalesced +
-                                    event_cell.writev_calls) /
-                    static_cast<double>(event_cell.writev_calls),
-          static_cast<unsigned long long>(event_cell.resubmits));
-      bench::line("    broker bursts=%zu batch p50=%.0f p95=%.0f msgs",
-                  event_cell.batches, event_cell.batch_p50,
-                  event_cell.batch_p95);
-      bench::line("csv,E14,event-loop,%zu,%zu,%.0f,%.3f,%.3f,%.3f", providers,
-                  tasklets, event_cell.submits_per_sec, event_cell.p50_ms,
-                  event_cell.p99_ms, event_cell.dispatch_us);
-    }
+  const CellResult cell = run_cell(providers, tasklets, window, slots);
+  if (!cell.ok) return 1;
+  bench::line("  %10zu %12.0f %10.2f %10.2f %12.2f", providers,
+              cell.submits_per_sec, cell.p50_ms, cell.p99_ms, cell.dispatch_us);
+  bench::line("    writev=%llu frames=%llu (%.2f frames/writev) resubmits=%llu",
+              static_cast<unsigned long long>(cell.writev_calls),
+              static_cast<unsigned long long>(cell.frames_out),
+              cell.frames_per_writev,
+              static_cast<unsigned long long>(cell.resubmits));
+  bench::line("    broker bursts=%zu batch p50=%.0f p95=%.0f msgs", cell.batches,
+              cell.batch_p50, cell.batch_p95);
+  bench::line("csv,E14,%zu,%zu,%.0f,%.3f,%.3f,%.3f,%.2f,%llu", providers,
+              tasklets, cell.submits_per_sec, cell.p50_ms, cell.p99_ms,
+              cell.dispatch_us, cell.frames_per_writev,
+              static_cast<unsigned long long>(cell.resubmits));
+  if (cell.resubmits > 0) {
+    bench::line("FAIL: %llu tasklet(s) resubmitted; the swarm must complete "
+                "every tasklet without one",
+                static_cast<unsigned long long>(cell.resubmits));
+    return 1;
   }
-
-  CellResult base_cell;
-  if (run_baseline) {
-    const std::size_t base_providers = std::min(providers, baseline_providers);
-    const std::size_t base_tasklets = std::min(tasklets, baseline_tasklets);
-    base_cell = run_cell(net::TcpMode::kThreadPerConn, base_providers,
-                         base_tasklets, window, slots);
-    if (base_cell.ok) {
-      bench::line("  %-16s %10zu %12.0f %10.2f %10.2f %12.2f", "thread-per-conn",
-                  base_providers, base_cell.submits_per_sec, base_cell.p50_ms,
-                  base_cell.p99_ms, base_cell.dispatch_us);
-      bench::line("csv,E14,thread-per-conn,%zu,%zu,%.0f,%.3f,%.3f,%.3f",
-                  base_providers, base_tasklets, base_cell.submits_per_sec,
-                  base_cell.p50_ms, base_cell.p99_ms, base_cell.dispatch_us);
-    }
-  }
-
-  if (event_cell.ok && base_cell.ok) {
-    bench::line("  event-loop vs thread-per-conn: %.2fx submits/s",
-                event_cell.submits_per_sec / base_cell.submits_per_sec);
-  }
-  return (run_eventloop && !event_cell.ok) || (run_baseline && !base_cell.ok) ? 1 : 0;
+  return 0;
 }

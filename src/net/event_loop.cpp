@@ -4,7 +4,9 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #if defined(__linux__)
 #include <sys/epoll.h>
@@ -137,6 +139,12 @@ void EventLoop::remove(int fd) {
 #endif
 }
 
+void EventLoop::call_after(std::chrono::milliseconds delay,
+                           std::function<void()> callback) {
+  deferred_ = std::move(callback);
+  deferred_at_ = std::chrono::steady_clock::now() + delay;
+}
+
 void EventLoop::wake() {
   if (wake_write_ < 0) return;
   const std::uint64_t one = 1;
@@ -160,10 +168,17 @@ void EventLoop::dispatch(int fd, std::uint32_t events) {
 
 int EventLoop::wait_and_collect(std::vector<std::pair<int, std::uint32_t>>& ready) {
   ready.clear();
+  // Block until the deferred call is due (rounded up), or indefinitely.
+  int timeout_ms = -1;
+  if (deferred_) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deferred_at_ - std::chrono::steady_clock::now());
+    timeout_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+  }
 #if TASKLETS_HAVE_EPOLL
   if (!force_poll_) {
     epoll_event events[256];
-    const int n = ::epoll_wait(epoll_fd_, events, 256, -1);
+    const int n = ::epoll_wait(epoll_fd_, events, 256, timeout_ms);
     if (n < 0) return errno == EINTR ? 0 : -1;
     bool woke = false;
     for (int i = 0; i < n; ++i) {
@@ -194,7 +209,7 @@ int EventLoop::wait_and_collect(std::vector<std::pair<int, std::uint32_t>>& read
     if (it == registrations_.end()) continue;
     pollset.push_back(pollfd{fd, to_poll(it->second.interest), 0});
   }
-  const int n = ::poll(pollset.data(), pollset.size(), -1);
+  const int n = ::poll(pollset.data(), pollset.size(), timeout_ms);
   if (n < 0) return errno == EINTR ? 0 : -1;
   bool woke = false;
   if ((pollset[0].revents & POLLIN) != 0) {
@@ -222,6 +237,9 @@ void EventLoop::run() {
     if (stop_.load(std::memory_order_acquire)) return;
     if (woke > 0 && wake_handler_) wake_handler_();
     for (const auto& [fd, events] : ready) dispatch(fd, events);
+    if (deferred_ && std::chrono::steady_clock::now() >= deferred_at_) {
+      std::exchange(deferred_, nullptr)();
+    }
   }
 }
 

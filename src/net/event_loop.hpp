@@ -11,15 +11,16 @@
 // state single-threaded without per-connection locks — the design YASMIN
 // and every modern middleware transport converge on.
 //
-// The loop is deliberately minimal: no timers, no thread pool, no ownership
-// of fds beyond the interest list. Higher layers (TcpRuntime, bench swarm
-// harnesses) compose connection state machines out of it with FrameParser
-// (length-prefixed frame reassembly across arbitrary read boundaries) and
-// BufferPool (recycled frame buffers so steady-state send paths allocate
-// nothing).
+// The loop is deliberately minimal: one deferred call instead of timers, no
+// thread pool, no ownership of fds beyond the interest list. Higher layers
+// (TcpRuntime, bench swarm harnesses) compose connection state machines out
+// of it with FrameParser (length-prefixed frame reassembly across arbitrary
+// read boundaries) and BufferPool (recycled frame buffers so steady-state
+// send paths allocate nothing).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -61,6 +62,9 @@ class EventLoop {
   void update(int fd, std::uint32_t interest);
   // Deregisters the fd. Safe to call from inside its own handler.
   void remove(int fd);
+  // Runs `callback` once on the loop thread, no sooner than `delay` from
+  // now. One call is pending at a time; a later call_after replaces it.
+  void call_after(std::chrono::milliseconds delay, std::function<void()> callback);
 
   // Runs until stop(): blocks in epoll_wait/poll, dispatches handlers.
   // Call from exactly one thread.
@@ -94,6 +98,8 @@ class EventLoop {
   int wake_read_ = -1;   // eventfd, or pipe read end under poll fallback
   int wake_write_ = -1;  // == wake_read_ for eventfd; pipe write end otherwise
   std::function<void()> wake_handler_;
+  std::function<void()> deferred_;  // call_after's callback, if pending
+  std::chrono::steady_clock::time_point deferred_at_;
   std::atomic<bool> stop_{false};
   std::unordered_map<int, Registration> registrations_;
   // poll backend: rebuilt when the registration set changes.

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <pthread.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -11,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -32,34 +32,9 @@ constexpr int kMaxIov = 128;
 // E14).
 constexpr std::size_t kDeliveryRun = 64;
 
-// Writes exactly `len` bytes; false on any error (connection is then dead).
-bool write_all(int fd, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-// Reads exactly `len` bytes; false on EOF or error.
-bool read_all(int fd, void* data, std::size_t len) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, p, len, 0);
-    if (n <= 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
+// How long a listener stays out of the interest set after accept ran out of
+// descriptors, before the loop tries again.
+constexpr std::chrono::milliseconds kAcceptRetry{100};
 
 }  // namespace
 
@@ -67,15 +42,15 @@ struct TcpRuntime::NodeEntry {
   std::unique_ptr<ActorHost> host;
   int listen_fd = -1;
   std::uint16_t port = 0;
-  std::thread acceptor;  // legacy engine only
 };
 
 // One outbound connection per destination. Senders (any thread) append
 // frames to `pending` under `mutex`; the loop thread owns everything else
 // and drains pending into `writing` when woken. A failed channel is marked
-// `dead`, removed from the map, and (once) replaced by a fresh connection
-// carrying the unsent frames — the async analog of the legacy engine's
-// retry-once-on-stale-connection.
+// `dead`, removed from the map, and replaced by a fresh connection carrying
+// its unsent frames. The replacement gets no replacement of its own until it
+// has flushed its queue, so unsent frames survive one stale or reset
+// connection but not two in a row.
 struct TcpRuntime::Channel {
   // pending/writing swap roles on every flush; pre-sizing BOTH twins keeps
   // the steady-state enqueue path allocation-free from the very first frame
@@ -120,46 +95,44 @@ struct TcpRuntime::Inbound {
       : fd(fd_in), parser(max_frame_bytes) {}
 };
 
-TcpRuntime::TcpRuntime(TcpConfig config) : config_(config) {
-  if (config_.mode == TcpMode::kEventLoop) {
-    loop_ = std::make_unique<EventLoop>(config_.force_poll);
-    read_buf_.resize(256u << 10);
-    run_.reserve(kDeliveryRun);
-    // Both twins of each queue start with capacity, so a turn that wakes
-    // the loop for several channels never grows the one it lands in.
-    tasks_.reserve(64);
-    dirty_.reserve(64);
-    loop_->set_wake_handler([this] {
-      // Reuse two member vectors per queue so the producer side keeps its
-      // capacity (the steady-state send path must not allocate).
-      static thread_local std::vector<std::function<void()>> tasks;
-      static thread_local std::vector<std::shared_ptr<Channel>> dirty;
-      // The swap hands this side's storage to the producers; make sure it
-      // has capacity before it crosses over so enqueue never grows a
-      // zero-capacity twin mid-send.
-      if (tasks.capacity() == 0) tasks.reserve(64);
-      if (dirty.capacity() == 0) dirty.reserve(64);
-      {
-        const std::scoped_lock lock(loop_in_mutex_);
-        tasks.swap(tasks_);
-        dirty.swap(dirty_);
-      }
-      for (auto& task : tasks) task();
-      tasks.clear();
-      for (auto& channel : dirty) loop_flush_channel(channel);
-      dirty.clear();
-    });
-    loop_thread_ = std::thread([this] { loop_->run(); });
+TcpRuntime::TcpRuntime(TcpConfig config)
+    : config_(config), loop_(config.force_poll) {
+  read_buf_.resize(256u << 10);
+  run_.reserve(kDeliveryRun);
+  // Both twins of each queue start with capacity, so a turn that wakes the
+  // loop for several channels never grows the one it lands in.
+  tasks_.reserve(64);
+  dirty_.reserve(64);
+  loop_.set_wake_handler([this] {
+    // Reuse two member vectors per queue so the producer side keeps its
+    // capacity (the steady-state send path must not allocate).
+    static thread_local std::vector<std::function<void()>> tasks;
+    static thread_local std::vector<std::shared_ptr<Channel>> dirty;
+    // The swap hands this side's storage to the producers; make sure it has
+    // capacity before it crosses over so enqueue never grows a
+    // zero-capacity twin mid-send.
+    if (tasks.capacity() == 0) tasks.reserve(64);
+    if (dirty.capacity() == 0) dirty.reserve(64);
+    {
+      const std::scoped_lock lock(loop_in_mutex_);
+      tasks.swap(tasks_);
+      dirty.swap(dirty_);
+    }
+    for (auto& task : tasks) task();
+    tasks.clear();
+    for (auto& channel : dirty) loop_flush_channel(channel);
+    dirty.clear();
+  });
+  loop_thread_ = std::thread([this] { loop_.run(); });
 #if defined(__linux__)
-    ::pthread_setname_np(loop_thread_.native_handle(), "tcp-loop");
+  ::pthread_setname_np(loop_thread_.native_handle(), "tcp-loop");
 #endif
-  }
 }
 
 TcpRuntime::~TcpRuntime() { stop_all(); }
 
 int TcpRuntime::open_listener(std::uint16_t* port_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -175,7 +148,6 @@ int TcpRuntime::open_listener(std::uint16_t* port_out) {
   socklen_t addr_len = sizeof addr;
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   *port_out = ntohs(addr.sin_port);
-  if (config_.mode == TcpMode::kEventLoop) set_nonblocking(fd);
   return fd;
 }
 
@@ -189,10 +161,8 @@ ActorHost& TcpRuntime::add(std::unique_ptr<proto::Actor> actor, bool autostart,
   if (entry->listen_fd < 0) {
     TASKLETS_LOG(kError, kLog) << "failed to open listener for "
                                << entry->host->id().to_string();
-  } else if (config_.mode == TcpMode::kEventLoop) {
-    loop_enqueue([this, raw = entry.get()] { loop_register_listener(raw); });
   } else {
-    entry->acceptor = std::thread([this, raw = entry.get()] { accept_loop(raw); });
+    loop_enqueue([this, raw = entry.get()] { loop_register_listener(raw); });
   }
 
   ActorHost& host = *entry->host;
@@ -205,7 +175,7 @@ ActorHost& TcpRuntime::add(std::unique_ptr<proto::Actor> actor, bool autostart,
 #if defined(__linux__)
   // Named after its first host, as mailbox threads are, so /proc and
   // profilers tell the loops of co-resident runtimes apart.
-  if (first && loop_thread_.joinable()) {
+  if (first) {
     const std::string name = "tcp-" + std::to_string(host.id().value());
     ::pthread_setname_np(loop_thread_.native_handle(), name.substr(0, 15).c_str());
   }
@@ -239,9 +209,8 @@ std::uint16_t TcpRuntime::port_locked(NodeId to) const {
   return 0;
 }
 
-int TcpRuntime::connect_to(std::uint16_t port, bool nonblocking) {
-  const int type = SOCK_STREAM | (nonblocking ? SOCK_NONBLOCK : 0);
-  const int fd = ::socket(AF_INET, type, 0);
+int TcpRuntime::connect_to(std::uint16_t port) const {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -252,16 +221,15 @@ int TcpRuntime::connect_to(std::uint16_t port, bool nonblocking) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (!(nonblocking && errno == EINPROGRESS)) {
-      ::close(fd);
-      return -1;
-    }
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 &&
+      errno != EINPROGRESS) {
+    ::close(fd);
+    return -1;
   }
   return fd;
 }
 
-// --- send paths --------------------------------------------------------------
+// --- send path ---------------------------------------------------------------
 
 void TcpRuntime::route(proto::Envelope envelope) { route_batch({&envelope, 1}); }
 
@@ -279,11 +247,6 @@ void TcpRuntime::route_batch(std::span<proto::Envelope> envelopes) {
       if (port == 0) continue;  // unknown peer: drop
       outgoing.push_back({envelopes[i].to, port, static_cast<std::uint32_t>(i), {}});
     }
-  }
-
-  if (config_.mode == TcpMode::kThreadPerConn) {
-    for (const Outgoing& out : outgoing) route_legacy(envelopes[out.index], out.port);
-    return;
   }
 
   // Build each [u32 len][payload] in one pooled buffer: zero heap
@@ -313,15 +276,15 @@ void TcpRuntime::route_batch(std::span<proto::Envelope> envelopes) {
     for (auto& channel : woken) dirty_.push_back(std::move(channel));
   }
   woken.clear();
-  loop_->wake();
+  loop_.wake();
 }
 
 std::shared_ptr<TcpRuntime::Channel> TcpRuntime::enqueue_frames(
     std::span<Outgoing> run) {
   const NodeId to = run.front().to;
   // Two attempts: the first may land on a channel that just died; the
-  // retry re-looks it up (the failure path erased it) and creates a fresh
-  // connection — mirroring the legacy engine's reconnect-once semantics.
+  // second re-looks it up (the failure path erased it) and takes its
+  // replacement or creates one. If that one is dead too, the frames drop.
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::shared_ptr<Channel> channel;
     {
@@ -345,52 +308,18 @@ std::shared_ptr<TcpRuntime::Channel> TcpRuntime::enqueue_frames(
   return nullptr;
 }
 
-void TcpRuntime::route_legacy(const proto::Envelope& envelope,
-                              std::uint16_t port) {
-  thread_local Bytes payload;
-  payload.clear();
-  proto::encode_into(envelope, payload);
-  std::uint8_t header[4];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  std::memcpy(header, &len, 4);  // little-endian hosts only (x86/arm64 LE)
-
-  // Pooled connection, re-established once on failure.
-  const std::scoped_lock lock(connections_mutex_);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    int fd = -1;
-    if (const auto it = outbound_.find(envelope.to); it != outbound_.end()) {
-      fd = it->second;
-    } else {
-      fd = connect_to(port, /*nonblocking=*/false);
-      if (fd < 0) return;  // peer unreachable: drop
-      outbound_[envelope.to] = fd;
-    }
-    if (write_all(fd, header, sizeof header) &&
-        write_all(fd, payload.data(), payload.size())) {
-      bytes_sent_.fetch_add(sizeof header + payload.size(),
-                            std::memory_order_relaxed);
-      TASKLETS_COUNT("net.tcp.frames_out", 1);
-      TASKLETS_COUNT("net.tcp.bytes_out", sizeof header + payload.size());
-      return;
-    }
-    // Stale/broken connection: drop it and retry once with a fresh one.
-    ::close(fd);
-    outbound_.erase(envelope.to);
-  }
-}
-
-// --- event-loop engine -------------------------------------------------------
+// --- event loop --------------------------------------------------------------
 
 void TcpRuntime::loop_enqueue(std::function<void()> task) {
   {
     const std::scoped_lock lock(loop_in_mutex_);
     tasks_.push_back(std::move(task));
   }
-  loop_->wake();
+  loop_.wake();
 }
 
 void TcpRuntime::loop_start_connect(const std::shared_ptr<Channel>& channel) {
-  const int fd = connect_to(channel->port, /*nonblocking=*/true);
+  const int fd = connect_to(channel->port);
   if (fd < 0) {
     loop_fail_channel(channel);
     return;
@@ -398,7 +327,7 @@ void TcpRuntime::loop_start_connect(const std::shared_ptr<Channel>& channel) {
   channel->fd = fd;
   channel->connecting = true;
   channel->want_write = true;
-  loop_->add(fd, kEventWrite, [this, channel](std::uint32_t events) {
+  loop_.add(fd, kEventWrite, [this, channel](std::uint32_t events) {
     if (channel->connecting) {
       int err = 0;
       socklen_t err_len = sizeof err;
@@ -457,7 +386,7 @@ void TcpRuntime::loop_flush_channel(const std::shared_ptr<Channel>& channel) {
   if (depth == 0) {
     if (channel->want_write) {
       channel->want_write = false;
-      loop_->update(channel->fd, kEventRead);
+      loop_.update(channel->fd, kEventRead);
     }
     return;
   }
@@ -486,7 +415,7 @@ void TcpRuntime::loop_flush_channel(const std::shared_ptr<Channel>& channel) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         if (!channel->want_write) {
           channel->want_write = true;
-          loop_->update(channel->fd, kEventRead | kEventWrite);
+          loop_.update(channel->fd, kEventRead | kEventWrite);
         }
         return;  // resume on writable
       }
@@ -523,13 +452,13 @@ void TcpRuntime::loop_flush_channel(const std::shared_ptr<Channel>& channel) {
   channel->retries_left = 1;
   if (channel->want_write) {
     channel->want_write = false;
-    loop_->update(channel->fd, kEventRead);
+    loop_.update(channel->fd, kEventRead);
   }
 }
 
 void TcpRuntime::loop_fail_channel(const std::shared_ptr<Channel>& channel) {
   if (channel->fd >= 0) {
-    loop_->remove(channel->fd);
+    loop_.remove(channel->fd);
     ::close(channel->fd);
     channel->fd = -1;
   }
@@ -594,14 +523,6 @@ void TcpRuntime::loop_fail_channel(const std::shared_ptr<Channel>& channel) {
 }
 
 void TcpRuntime::drop_connection(NodeId to) {
-  if (config_.mode == TcpMode::kThreadPerConn) {
-    const std::scoped_lock lock(connections_mutex_);
-    if (const auto it = outbound_.find(to); it != outbound_.end()) {
-      ::close(it->second);
-      outbound_.erase(it);
-    }
-    return;
-  }
   if (stopping_.load(std::memory_order_relaxed)) return;
   loop_enqueue([this, to] {
     std::shared_ptr<Channel> channel;
@@ -614,7 +535,7 @@ void TcpRuntime::drop_connection(NodeId to) {
     }
     if (!channel) return;
     if (channel->fd >= 0) {
-      loop_->remove(channel->fd);
+      loop_.remove(channel->fd);
       ::close(channel->fd);
       channel->fd = -1;
     }
@@ -633,28 +554,55 @@ void TcpRuntime::drop_connection(NodeId to) {
 }
 
 void TcpRuntime::loop_register_listener(NodeEntry* entry) {
-  loop_->add(entry->listen_fd, kEventRead,
-             [this, entry](std::uint32_t) { loop_accept(entry); });
+  loop_.add(entry->listen_fd, kEventRead,
+            [this, entry](std::uint32_t) { loop_accept(entry); });
 }
 
 void TcpRuntime::loop_accept(NodeEntry* entry) {
   for (;;) {
     const int fd = ::accept4(entry->listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK &&
-          errno != ECONNABORTED) {
-        TASKLETS_LOG(kWarn, kLog) << "accept failed: " << std::strerror(errno);
+      const int err = errno;
+      if (err == EINTR) continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        loop_pause_accept(entry, err);
+      } else if (err != EAGAIN && err != EWOULDBLOCK && err != ECONNABORTED) {
+        TASKLETS_LOG(kWarn, kLog) << "accept failed: " << std::strerror(err);
       }
       return;
+    }
+    if (accept_starved_) {
+      accept_starved_ = false;
+      TASKLETS_LOG(kInfo, kLog) << "accepting again";
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto inbound = std::make_shared<Inbound>(fd, config_.max_frame_bytes);
     inbound_.emplace(fd, inbound);
-    loop_->add(fd, kEventRead,
-               [this, inbound](std::uint32_t) { loop_read(inbound); });
+    loop_.add(fd, kEventRead,
+              [this, inbound](std::uint32_t) { loop_read(inbound); });
   }
+}
+
+void TcpRuntime::loop_pause_accept(NodeEntry* entry, int err) {
+  // The connection stays in the backlog, so the level-triggered listener
+  // would be ready again at once. An episode lasts until an accept succeeds.
+  if (!accept_starved_) {
+    accept_starved_ = true;
+    TASKLETS_LOG(kWarn, kLog) << "accept failed: " << std::strerror(err)
+                              << "; retrying every " << kAcceptRetry.count()
+                              << " ms";
+  }
+  loop_.update(entry->listen_fd, 0);
+  if (paused_.empty()) {
+    // No signal says that a descriptor was freed, by this runtime or any
+    // other part of the process, so retry on a timer.
+    loop_.call_after(kAcceptRetry, [this] {
+      for (NodeEntry* paused : paused_) loop_.update(paused->listen_fd, kEventRead);
+      paused_.clear();
+    });
+  }
+  paused_.push_back(entry);
 }
 
 void TcpRuntime::loop_read(const std::shared_ptr<Inbound>& inbound) {
@@ -709,7 +657,7 @@ void TcpRuntime::loop_read(const std::shared_ptr<Inbound>& inbound) {
 }
 
 void TcpRuntime::loop_close_inbound(const std::shared_ptr<Inbound>& inbound) {
-  loop_->remove(inbound->fd);
+  loop_.remove(inbound->fd);
   ::close(inbound->fd);
   inbound_.erase(inbound->fd);
 }
@@ -722,84 +670,20 @@ void TcpRuntime::deliver(std::span<proto::Envelope> run) {
   if (it != nodes_.end()) it->second->host->post_many(run);
 }
 
-// --- legacy thread-per-connection engine -------------------------------------
-
-void TcpRuntime::accept_loop(NodeEntry* entry) {
-  for (;;) {
-    const int fd = ::accept(entry->listen_fd, nullptr, nullptr);
-    if (fd < 0) return;  // listener closed: shutting down
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    const std::scoped_lock lock(readers_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
-    }
-    Reader reader;
-    reader.fd = fd;
-    reader.thread = std::thread([this, fd] { reader_loop(fd); });
-    readers_.push_back(std::move(reader));
-  }
-}
-
-void TcpRuntime::reader_loop(int fd) {
-  for (;;) {
-    std::uint8_t header[4];
-    if (!read_all(fd, header, sizeof header)) break;
-    std::uint32_t len = 0;
-    std::memcpy(&len, header, 4);
-    if (len == 0 || len > config_.max_frame_bytes) {
-      TASKLETS_LOG(kWarn, kLog) << "bad frame length " << len << "; closing";
-      break;
-    }
-    Bytes payload(len);
-    if (!read_all(fd, payload.data(), len)) break;
-    TASKLETS_COUNT("net.tcp.frames_in", 1);
-    TASKLETS_COUNT("net.tcp.bytes_in", sizeof header + len);
-    auto envelope = proto::decode(payload);
-    if (!envelope.is_ok()) {
-      TASKLETS_LOG(kWarn, kLog) << "undecodable frame: "
-                                << envelope.status().to_string();
-      break;  // protocol confusion: drop the connection
-    }
-    deliver({&envelope.value(), 1});
-  }
-  ::close(fd);
-}
-
 void TcpRuntime::stop_all() {
   if (stopping_.exchange(true)) return;
-
-  if (config_.mode == TcpMode::kEventLoop) {
-    if (loop_) {
-      loop_->stop();
-      if (loop_thread_.joinable()) loop_thread_.join();
+  loop_.stop();
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // The loop is stopped: all socket state is exclusively ours now.
+  for (auto& [fd, inbound] : inbound_) ::close(fd);
+  inbound_.clear();
+  {
+    const std::scoped_lock lock(channels_mutex_);
+    for (auto& [id, channel] : channels_) {
+      if (channel->fd >= 0) ::close(channel->fd);
     }
-    // The loop is stopped: all socket state is exclusively ours now.
-    for (auto& [fd, inbound] : inbound_) ::close(fd);
-    inbound_.clear();
-    {
-      const std::scoped_lock lock(channels_mutex_);
-      for (auto& [id, channel] : channels_) {
-        if (channel->fd >= 0) ::close(channel->fd);
-      }
-      channels_.clear();
-    }
-    std::unordered_map<NodeId, std::unique_ptr<NodeEntry>> nodes;
-    {
-      const std::unique_lock lock(registry_mutex_);
-      nodes = std::move(nodes_);
-      nodes_.clear();
-    }
-    for (auto& [id, entry] : nodes) {
-      if (entry->listen_fd >= 0) ::close(entry->listen_fd);
-    }
-    for (auto& [id, entry] : nodes) entry->host->stop();
-    nodes.clear();
-    return;
+    channels_.clear();
   }
-
-  // Close listeners: acceptors exit; then stop hosts; then join readers.
   std::unordered_map<NodeId, std::unique_ptr<NodeEntry>> nodes;
   {
     const std::unique_lock lock(registry_mutex_);
@@ -807,34 +691,9 @@ void TcpRuntime::stop_all() {
     nodes_.clear();
   }
   for (auto& [id, entry] : nodes) {
-    if (entry->listen_fd >= 0) {
-      ::shutdown(entry->listen_fd, SHUT_RDWR);
-      ::close(entry->listen_fd);
-    }
+    if (entry->listen_fd >= 0) ::close(entry->listen_fd);
   }
-  for (auto& [id, entry] : nodes) {
-    if (entry->acceptor.joinable()) entry->acceptor.join();
-    entry->host->stop();
-  }
-  {
-    const std::scoped_lock lock(connections_mutex_);
-    for (auto& [id, fd] : outbound_) ::close(fd);
-    outbound_.clear();
-  }
-  std::vector<Reader> readers;
-  {
-    const std::scoped_lock lock(readers_mutex_);
-    readers = std::move(readers_);
-    readers_.clear();
-  }
-  // Unblock readers parked in recv(), then join. (During shutdown a reader
-  // may already have closed its fd; a stray shutdown on a stale number is
-  // harmless here because no new sockets are being opened.)
-  for (auto& reader : readers) ::shutdown(reader.fd, SHUT_RDWR);
-  for (auto& reader : readers) {
-    if (reader.thread.joinable()) reader.thread.join();
-  }
-  nodes.clear();  // destroys hosts
+  for (auto& [id, entry] : nodes) entry->host->stop();
 }
 
 }  // namespace tasklets::net

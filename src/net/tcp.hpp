@@ -14,40 +14,37 @@
 // One outbound connection per (sender node, target node) is pooled and
 // re-established on demand after failures.
 //
-// Two engines share those semantics:
+// One readiness event loop (net/event_loop.hpp) drives every listener,
+// inbound and outbound socket of the runtime on one thread, named
+// "tcp-<first host id>"; inbound connections start no threads. Senders
+// append encoded frames to a per-destination write queue and wake the loop;
+// the loop coalesces queued frames into writev batches and recycles their
+// buffers through a BufferPool, so the steady-state send path performs zero
+// per-frame heap allocations. This is what holds 10k+ provider connections
+// in one process (bench/bench_swarm.cpp, experiment E14).
 //
-//  - kEventLoop (default): one readiness event loop (net/event_loop.hpp)
-//    drives every listener, inbound and outbound socket of the runtime on
-//    one thread, named "tcp-<first host id>". Senders append encoded frames
-//    to a per-destination write queue and wake the loop; the loop coalesces
-//    queued frames into writev batches and recycles their buffers through a
-//    BufferPool, so the steady-state send path performs zero per-frame heap
-//    allocations. This is the engine that holds 10k+ provider connections
-//    in one process (bench/bench_swarm.cpp, experiment E14).
+// Both hand-offs between the loop and the hosts' mailbox threads go in runs.
+// A host's turn routes its whole outbox through route_batch: ports resolved
+// under one registry lock, each destination's frames appended under one
+// channel lock, at most one loop wake. The loop posts the frames decoded
+// from one recv to their host in runs of consecutive frames for that host,
+// at most 64 each, through ActorHost::post_many: one mailbox lock and at
+// most one wake per run. The bound lets the host start on a run while the
+// loop decodes the next.
 //
-//    Both hand-offs between the loop and the hosts' mailbox threads go in
-//    runs. A host's turn routes its whole outbox through route_batch: ports
-//    resolved under one registry lock, each destination's frames appended
-//    under one channel lock, at most one loop wake. The loop posts the
-//    frames decoded from one recv to their host in runs of consecutive
-//    frames for that host, at most 64 each, through ActorHost::post_many:
-//    one mailbox lock and at most one wake per run. The bound lets the host
-//    start on a run while the loop decodes the next.
+// The loop and the hosts keep separate threads. Running the hosts' turns on
+// the loop thread removes the hand-offs, but then decoding, handlers,
+// encoding and syscalls share one core: a prototype of that design saved
+// CPU yet lost throughput and p50 latency on pipeline_tcp (EXPERIMENTS.md,
+// E14).
 //
-//    The loop and the hosts keep separate threads. Running the hosts' turns
-//    on the loop thread removes the hand-offs, but then decoding, handlers,
-//    encoding and syscalls share one core: a prototype of that design saved
-//    CPU yet lost throughput and p50 latency on pipeline_tcp
-//    (EXPERIMENTS.md, E14).
-//
-//  - kThreadPerConn: the original thread-per-connection engine (one
-//    acceptor thread per node, one reader thread per inbound socket,
-//    blocking sends under a global connection lock). Kept as the measured
-//    baseline for E14 and as a fallback reference implementation.
+// A listener that cannot accept because the process is out of descriptors
+// leaves the loop's interest set and is retried every 100 ms, however the
+// descriptor is freed; the loop idles meanwhile and logs one warning per
+// episode.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -62,19 +59,13 @@
 
 namespace tasklets::net {
 
-enum class TcpMode {
-  kEventLoop,      // readiness loop + batched writev (default)
-  kThreadPerConn,  // legacy baseline: blocking sockets, thread per connection
-};
-
 struct TcpConfig {
   std::uint32_t max_frame_bytes = 64u << 20;  // reject larger frames
-  TcpMode mode = TcpMode::kEventLoop;
-  // Event-loop engine: use the poll(2) backend even where epoll exists
-  // (tests exercise both backends).
+  // Use the poll(2) backend even where epoll exists (tests exercise both
+  // backends).
   bool force_poll = false;
-  // Event-loop engine, tests only: shrink SO_SNDBUF on outbound sockets to
-  // force partial writes and EAGAIN storms. 0 = kernel default.
+  // Tests only: shrink SO_SNDBUF on outbound sockets to force partial writes
+  // and EAGAIN storms. 0 = kernel default.
   int sndbuf_bytes = 0;
 };
 
@@ -115,7 +106,6 @@ class TcpRuntime final : public Runtime {
   void drop_connection(NodeId to);
   // Bytes actually pushed through sockets (tests assert the wire was used).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept;
-  [[nodiscard]] TcpMode mode() const noexcept { return config_.mode; }
 
  private:
   struct NodeEntry;
@@ -123,15 +113,15 @@ class TcpRuntime final : public Runtime {
   struct Inbound;
   struct Outgoing;
 
-  // --- shared helpers -------------------------------------------------------
   // Listener port of `to`, local nodes first; 0 if unknown. Caller holds
   // registry_mutex_.
   [[nodiscard]] std::uint16_t port_locked(NodeId to) const;
-  [[nodiscard]] int open_listener(std::uint16_t* port_out);
+  [[nodiscard]] static int open_listener(std::uint16_t* port_out);
+  [[nodiscard]] int connect_to(std::uint16_t port) const;
   // Posts a run of envelopes, all for one host, to that host. Any thread.
   void deliver(std::span<proto::Envelope> run);
 
-  // --- event-loop engine (loop-thread-only unless noted) --------------------
+  // Loop-thread-only unless noted.
   void loop_enqueue(std::function<void()> task);          // any thread
   // Appends one destination's frames, in order, to its channel's queue
   // under one channel lock. Returns the channel when the loop must be woken
@@ -142,14 +132,11 @@ class TcpRuntime final : public Runtime {
   void loop_fail_channel(const std::shared_ptr<Channel>& channel);
   void loop_register_listener(NodeEntry* entry);
   void loop_accept(NodeEntry* entry);
+  // Takes a listener out of the interest set after accept failed with
+  // `err` for want of descriptors or memory, and re-arms it after a delay.
+  void loop_pause_accept(NodeEntry* entry, int err);
   void loop_read(const std::shared_ptr<Inbound>& inbound);
   void loop_close_inbound(const std::shared_ptr<Inbound>& inbound);
-
-  // --- legacy thread-per-connection engine ----------------------------------
-  void accept_loop(NodeEntry* entry);
-  void reader_loop(int fd);
-  [[nodiscard]] int connect_to(std::uint16_t port, bool nonblocking);
-  void route_legacy(const proto::Envelope& envelope, std::uint16_t port);
 
   TcpConfig config_;
   SteadyClock clock_;
@@ -158,8 +145,7 @@ class TcpRuntime final : public Runtime {
   std::unordered_map<NodeId, std::unique_ptr<NodeEntry>> nodes_;
   std::unordered_map<NodeId, std::uint16_t> remotes_;
 
-  // Event-loop engine state.
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   std::thread loop_thread_;
   BufferPool pool_;
   std::mutex loop_in_mutex_;  // guards tasks_ + dirty_ (producers -> loop)
@@ -172,17 +158,10 @@ class TcpRuntime final : public Runtime {
   std::unordered_map<int, std::shared_ptr<Inbound>> inbound_;
   std::vector<std::byte> read_buf_;
   std::vector<proto::Envelope> run_;
-
-  // Legacy engine state.
-  std::mutex connections_mutex_;
-  std::map<NodeId, int> outbound_;  // pooled fds by destination
-
-  struct Reader {
-    std::thread thread;
-    int fd = -1;
-  };
-  std::mutex readers_mutex_;
-  std::vector<Reader> readers_;
+  // Loop-thread-only: listeners waiting out a descriptor shortage, and
+  // whether the current shortage has been logged.
+  std::vector<NodeEntry*> paused_;
+  bool accept_starved_ = false;
 
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<bool> stopping_{false};
