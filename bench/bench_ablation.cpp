@@ -10,10 +10,10 @@
 //     providers sooner (lower latency under churn) but multiply control
 //     traffic. The shipped default is 1 s with a 3.5x liveness timeout.
 //
-// A3: speculative backups (straggler mitigation). Degraded devices that
-//     advertise stale benchmark scores poison tail latency invisibly;
-//     sweeping the speculation delay shows the p95 collapse backups buy
-//     and the cost of triggering them too late.
+// A3: the quantile straggler defense. Degraded devices that advertise
+//     stale benchmark scores poison tail latency invisibly; sweeping
+//     `straggler_multiplier` shows the p95 collapse backups buy, the cost
+//     of triggering them late, and what fencing too early costs.
 #include <map>
 
 #include "bench_util.hpp"
@@ -152,18 +152,22 @@ void ablation_heartbeat() {
   line("lost work sits undetected for ~3.5 intervals before re-issue.");
 }
 
-void ablation_speculation() {
+// Returns false when the A3 shape gate fails.
+bool ablation_speculation() {
   using bench::header;
   using bench::line;
-  header("A3", "speculative backups vs stragglers "
+  header("A3", "straggler defense vs hung devices "
                "(4 healthy + 2 degraded desktops, 120 x 200 Mfuel)");
-  line("%16s %10s %12s %12s %13s %9s", "spec_after(ms)", "success",
-       "mean lat(s)", "p95 lat(s)", "speculations", "wins");
+  line("%11s %10s %12s %12s %13s %9s %10s", "multiplier", "success",
+       "mean lat(s)", "p95 lat(s)", "speculations", "wins", "reassigns");
 
-  for (const double after_ms : {0.0, 1000.0, 2000.0, 4000.0, 8000.0}) {
+  double undefended_p95 = 0.0;
+  double worst_defended_p95 = 0.0;
+  double worst_success_from_4 = 1.0;  // multipliers >= 4
+  for (const double multiplier : {0.0, 2.0, 3.0, 4.0, 8.0, 16.0}) {
     core::SimConfig config;
     config.seed = 29;
-    config.broker.speculative_after = from_millis(after_ms);
+    config.broker.straggler_multiplier = multiplier;
     core::SimCluster cluster(config);
     cluster.add_providers(sim::desktop_profile(), 4);
     // Degraded devices: they *advertise* healthy desktop speed (stale
@@ -183,21 +187,46 @@ void ablation_speculation() {
     cluster.run_until_quiescent(60 * 60 * kSecond);
     const auto metrics = bench::collect(cluster);
     const auto& stats = cluster.broker().stats();
-    line("%16.0f %9.0f%% %12.2f %12.2f %13llu %9llu", after_ms,
+    line("%11.1f %9.0f%% %12.2f %12.2f %13llu %9llu %10llu", multiplier,
          100.0 * metrics.success_rate, metrics.mean_latency_s,
          metrics.p95_latency_s,
          static_cast<unsigned long long>(stats.speculations),
-         static_cast<unsigned long long>(stats.speculation_wins));
-    line("csv,A3,%.0f,%.4f,%.3f,%.3f,%llu,%llu", after_ms, metrics.success_rate,
-         metrics.mean_latency_s, metrics.p95_latency_s,
+         static_cast<unsigned long long>(stats.speculation_wins),
+         static_cast<unsigned long long>(stats.straggler_reassigns));
+    line("csv,A3,%.1f,%.4f,%.3f,%.3f,%llu,%llu,%llu", multiplier,
+         metrics.success_rate, metrics.mean_latency_s, metrics.p95_latency_s,
          static_cast<unsigned long long>(stats.speculations),
-         static_cast<unsigned long long>(stats.speculation_wins));
+         static_cast<unsigned long long>(stats.speculation_wins),
+         static_cast<unsigned long long>(stats.straggler_reassigns));
+    if (multiplier >= 4.0) {
+      worst_success_from_4 = std::min(worst_success_from_4, metrics.success_rate);
+    }
+    if (multiplier == 0.0) {
+      undefended_p95 = metrics.p95_latency_s;
+    } else {
+      worst_defended_p95 = std::max(worst_defended_p95, metrics.p95_latency_s);
+    }
   }
   line("");
-  line("shape check: without speculation (0) p95 is dominated by the ~50s");
-  line("tasklets stuck on hung devices; enabling backups collapses the tail");
-  line("to ~the healthy service time plus the speculation delay; very long");
-  line("delays approach the no-speculation tail again.");
+  line("shape check: undefended (0) p95 is dominated by the ~50s tasklets");
+  line("stuck on hung devices; every defended row collapses the tail, which");
+  line("grows with the multiplier. Below 4 the bound fences attempts before");
+  line("any backup, and assigns to the hung devices' freed slots bounce");
+  line("off them until some tasklets exhaust their rejection budget.");
+  // Gate: the hung devices' 50 s service time sets the undefended p95, every
+  // defended row has at most half that tail, and from multiplier 4 up every
+  // tasklet completes.
+  const bool ok = undefended_p95 >= 25.0 &&
+                  worst_defended_p95 <= 0.5 * undefended_p95 &&
+                  worst_success_from_4 == 1.0;
+  if (!ok) {
+    line("A3 FAILED: undefended p95 %.3fs (want >= 25s), worst defended p95",
+         undefended_p95);
+    line("%.3fs (want <= half of it), worst success from multiplier 4 %.4f",
+         worst_defended_p95, worst_success_from_4);
+    line("(want 1)");
+  }
+  return ok;
 }
 
 void ablation_migration() {
@@ -251,7 +280,7 @@ void ablation_migration() {
 int main() {
   ablation_selectivity();
   ablation_heartbeat();
-  ablation_speculation();
+  const bool a3_ok = ablation_speculation();
   ablation_migration();
-  return 0;
+  return a3_ok ? 0 : 1;
 }

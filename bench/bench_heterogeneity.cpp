@@ -9,7 +9,9 @@
 //     capacity;
 //   * the heterogeneity-aware policy (qoc_aware) wins by declining devices
 //     far slower than the best online provider.
+// The exit status gates that shape.
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "bench_util.hpp"
@@ -34,9 +36,14 @@ int main() {
         {sim::sbc_profile(), 8},
         {sim::mobile_profile(), 10}}},
   };
-  const std::vector<std::string> policies = {
-      "round_robin", "random", "least_loaded", "fastest_first", "cloud_only",
-      "qoc_aware"};
+  const std::vector<std::string> greedy = {"round_robin", "random",
+                                           "least_loaded", "fastest_first"};
+  std::vector<std::string> policies = greedy;
+  policies.push_back("cloud_only");
+  policies.push_back("qoc_aware");
+  // Makespan per pool and policy; NaN for a stuck run. Cells a policy
+  // cannot run by design (cloud_only without servers) stay absent.
+  std::map<std::string, std::map<std::string, double>> makespan;
 
   constexpr int kTasklets = 200;
   constexpr std::uint64_t kFuel = 200'000'000;  // 0.5 s on a desktop core
@@ -79,18 +86,62 @@ int main() {
       if (!cluster.run_until_quiescent(24 * 3600 * kSecond)) {
         std::printf(" %13s", "stuck");
         csv += ",nan";
+        makespan[pool.name][policy] = std::nan("");
         continue;
       }
       const auto metrics = bench::collect(cluster);
+      makespan[pool.name][policy] = metrics.makespan_s;
       std::printf(" %12.2fs", metrics.makespan_s);
       csv += "," + std::to_string(metrics.makespan_s);
     }
     std::printf("\n%s\n", csv.c_str());
   }
 
+  auto& mixed = makespan["mixed_2_4_6_8_10"];
+  const double qoc = mixed["qoc_aware"];
+  const double cloud = mixed["cloud_only"];
+  double best_greedy = INFINITY;
+  for (const auto& policy : greedy) {
+    best_greedy = std::min(best_greedy, mixed[policy]);
+  }
   line("");
-  line("shape check: read the mixed row — greedy policies are ~10-15x worse");
-  line("than qoc_aware; cloud_only sits in between (no slow tails, but only");
-  line("2 of 30 devices used). On homogeneous rows every policy is similar.");
-  return 0;
+  line("shape check: on the mixed row the best greedy policy is %.1fx slower",
+       best_greedy / qoc);
+  line("than qoc_aware and cloud_only %.1fx (no slow tails, but only 2 of 30",
+       cloud / qoc);
+  line("devices used). On homogeneous rows every policy ties.");
+
+  // Gate: the policies tie within 1% on each homogeneous pool; on the mixed
+  // pool qoc_aware beats cloud_only, which beats every greedy policy.
+  bool ok = true;
+  for (const auto& pool : pools) {
+    if (pool.name == "mixed_2_4_6_8_10") continue;
+    double lo = INFINITY;
+    double hi = 0.0;
+    for (const auto& [policy, seconds] : makespan[pool.name]) {
+      if (std::isnan(seconds)) ok = false;
+      lo = std::min(lo, seconds);
+      hi = std::max(hi, seconds);
+    }
+    if (!(hi <= 1.01 * lo)) {
+      line("E3 FAILED: on %s makespans span %.4fs..%.4fs (want within 1%%)",
+           pool.name.c_str(), lo, hi);
+      ok = false;
+    }
+  }
+  if (!(qoc < cloud)) {
+    line("E3 FAILED: on the mixed pool qoc_aware (%.4fs) must beat cloud_only",
+         qoc);
+    line("(%.4fs)", cloud);
+    ok = false;
+  }
+  for (const auto& policy : greedy) {
+    if (!(cloud < mixed[policy])) {
+      line("E3 FAILED: on the mixed pool cloud_only (%.4fs) must beat %s",
+           cloud, policy.c_str());
+      line("(%.4fs)", mixed[policy]);
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

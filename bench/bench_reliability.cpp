@@ -11,6 +11,8 @@
 //     under churn it *costs*: it multiplies offered load and demands more
 //     surviving replicas. Its payoff is integrity against silently faulty
 //     providers (see E8), not churn tolerance.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 
@@ -91,6 +93,9 @@ int main() {
 
   header("E4", "success rate & latency vs churn (100 tasklets x 800 Mfuel, "
                "12 desktops)");
+  // Shape gate inputs (NaN until the cell ran, so a missing cell fails).
+  double no_recovery_at_2s = std::nan("");
+  double worst_reissue = std::nan("");
   line("%-14s %12s %10s %12s %12s %10s", "mode", "session(s)", "success",
        "mean lat(s)", "p95 lat(s)", "attempts");
 
@@ -122,6 +127,14 @@ int main() {
       line("csv,E4,%s,%.0f,%.4f,%.3f,%.3f,%.2f", mode.name.c_str(), session_s,
            metrics.success_rate, metrics.mean_latency_s, metrics.p95_latency_s,
            metrics.mean_attempts);
+      if (mode.name == "no_recovery" && session_s == 2.0) {
+        no_recovery_at_2s = metrics.success_rate;
+      }
+      if (mode.name == "reissue") {
+        worst_reissue = std::isnan(worst_reissue)
+                            ? metrics.success_rate
+                            : std::min(worst_reissue, metrics.success_rate);
+      }
     }
   }
 
@@ -131,5 +144,13 @@ int main() {
   line("attempt counts. redundant modes sit *above* reissue in latency and");
   line("attempts (majority voting triples load and needs more survivors) —");
   line("redundancy buys integrity (E8), re-issue buys churn tolerance.");
+  // Gate: churn at 2 s sessions sinks no_recovery below half, while reissue
+  // holds at least 95% at every session length.
+  if (!(no_recovery_at_2s < 0.5 && worst_reissue >= 0.95)) {
+    line("E4 FAILED: no_recovery success at 2s sessions %.4f (want < 0.5),",
+         no_recovery_at_2s);
+    line("worst reissue success %.4f (want >= 0.95)", worst_reissue);
+    return 1;
+  }
   return 0;
 }

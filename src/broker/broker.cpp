@@ -9,6 +9,16 @@ namespace tasklets::broker {
 
 namespace {
 constexpr std::string_view kLog = "broker";
+// EWMA factor for observed provider reliability.
+constexpr double kReliabilityAlpha = 0.2;
+// Deadline admission control inflates the predicted runtime by this factor
+// to cover queueing and transfer.
+constexpr double kAdmissionSafety = 1.25;
+// Per-provider warm-digest history the affinity scheduling tracks.
+constexpr std::size_t kWarmEntriesPerProvider = 256;
+// A DigestBody submission whose program cannot be fetched from its consumer
+// within this grace fails kExhausted.
+constexpr SimTime kProgramFetchGrace = 10 * kSecond;
 }  // namespace
 
 void Broker::trace_instant(const TaskletState& state, std::string name,
@@ -284,89 +294,8 @@ void Broker::on_timer(std::uint64_t timer_id, SimTime now, proto::Outbox& out) {
                    "no registered provider satisfies the QoC constraints", now,
                    out);
     }
-    // Lost-message recovery: fence and re-issue attempts that have produced
-    // no result within the attempt timeout. The fence (erasing the attempt
-    // from the provider's in-flight set and the attempt index) guarantees a
-    // late result for the old attempt is ignored, so the re-issue cannot
-    // double-report.
-    if (config_.attempt_timeout > 0) {
-      std::vector<std::pair<AttemptId, TaskletId>> stale;
-      for (const auto& [attempt, tasklet_id] : attempt_index_) {
-        const auto it = tasklets_.find(tasklet_id);
-        if (it == tasklets_.end()) continue;
-        const auto ait = it->second.attempts.find(attempt);
-        if (ait == it->second.attempts.end()) continue;
-        if (now - ait->second.issued_at > config_.attempt_timeout) {
-          stale.emplace_back(attempt, tasklet_id);
-        }
-      }
-      for (const auto& [attempt, tasklet_id] : stale) {
-        const auto tit = tasklets_.find(tasklet_id);
-        if (tit == tasklets_.end()) continue;  // evicted mid-loop
-        ++stats_.attempts_timed_out;
-        TASKLETS_COUNT("broker.attempts_timed_out", 1);
-        auto& state = tit->second;
-        if (const auto ait = state.attempts.find(attempt);
-            ait != state.attempts.end()) {
-          end_attempt_span(state, tasklet_id, ait->second, now, "timeout");
-          if (const auto pit = providers_.find(ait->second.provider);
-              pit != providers_.end()) {
-            pit->second.inflight.erase(attempt);
-            pit->second.view.timed_out += 1;
-          }
-          state.attempts.erase(ait);
-        }
-        attempt_index_.erase(attempt);
-        if (state.done) continue;
-        TASKLETS_LOG(kInfo, kLog)
-            << "attempt " << attempt.to_string() << " of tasklet "
-            << tasklet_id.to_string() << " timed out; re-issuing";
-        ++stats_.attempts_lost;
-        TASKLETS_COUNT("broker.attempts_lost", 1);
-        reissue_or_exhaust(tasklet_id, state, now, out);
-      }
-      if (!stale.empty()) request_drain(now, out);
-    }
-    // Straggler mitigation: shadow long-running attempts of non-redundant
-    // tasklets with one speculative backup on a different provider.
-    if (config_.speculative_after > 0) {
-      std::vector<TaskletId> stragglers;
-      for (const auto& [attempt, tasklet_id] : attempt_index_) {
-        const auto it = tasklets_.find(tasklet_id);
-        if (it == tasklets_.end()) continue;
-        const TaskletState& state = it->second;
-        if (state.done || state.speculated || state.spec.qoc.redundancy > 1) {
-          continue;
-        }
-        const auto attempt_it = state.attempts.find(attempt);
-        if (attempt_it == state.attempts.end()) continue;
-        if (now - attempt_it->second.issued_at > config_.speculative_after) {
-          stragglers.push_back(tasklet_id);
-        }
-      }
-      for (const TaskletId id : stragglers) {
-        const auto tit = tasklets_.find(id);
-        if (tit == tasklets_.end()) continue;  // evicted mid-loop
-        auto& state = tit->second;
-        if (state.done || state.speculated) continue;
-        state.replicas_pending += 1;
-        const AttemptId backup = try_place_replica(id, now, out);
-        if (backup.valid()) {
-          state.speculated = true;
-          state.speculative_attempt = backup;
-          ++stats_.speculations;
-          TASKLETS_COUNT("broker.speculations", 1);
-          trace_instant(state, "speculate", id, now,
-                        {{"backup", backup.to_string()}});
-        } else {
-          state.replicas_pending -= 1;  // no capacity: retry next scan
-        }
-      }
-    }
-    // Adaptive straggler defense: same idea as speculative_after, but the
-    // threshold is a quantile of *measured* completion durations instead of
-    // a fixed knob, and far-gone attempts are fenced and reassigned rather
-    // than merely shadowed.
+    // Adaptive straggler defense: the threshold is a quantile of *measured*
+    // completion durations, not a fixed knob.
     if (config_.straggler_multiplier > 0) defend_stragglers(now, out);
     // Pool signals: heterogeneity score + per-provider health gauges, on the
     // same cadence as everything else derived from measurement.
@@ -388,7 +317,7 @@ void Broker::on_timer(std::uint64_t timer_id, SimTime now, proto::Outbox& out) {
         NodeId refetch_consumer;
         for (const TaskletId id : waiting) {
           const TaskletState& state = tasklets_.at(id);
-          if (now - state.fetch_started > config_.program_fetch_grace) {
+          if (now - state.fetch_started > kProgramFetchGrace) {
             fetch_failed.push_back(id);
           } else {
             refetch_consumer = state.consumer;
@@ -489,19 +418,37 @@ void Broker::handle_deregister(NodeId from, const proto::DeregisterProvider& m,
   on_provider_lost(from, now, out);
 }
 
-void Broker::handle_heartbeat(NodeId from, const proto::Heartbeat&, SimTime now,
-                              proto::Outbox& out) {
+void Broker::handle_heartbeat(NodeId from, const proto::Heartbeat& m,
+                              SimTime now, proto::Outbox& out) {
   const auto it = providers_.find(from);
   if (it == providers_.end()) {
     // Heartbeat from an unknown node: it must (re)register first; ignore.
     return;
   }
-  it->second.last_heartbeat = now;
-  if (!it->second.online) {
-    // A heartbeat from an expired provider revives it (it never actually
-    // left, the network hiccuped). Its previous in-flight work was already
-    // re-issued; it simply offers capacity again.
-    it->second.online = true;
+  ProviderState& p = it->second;
+  p.last_heartbeat = now;
+  // A heartbeat from an expired provider revives it (it never actually
+  // left, the network hiccuped). Its previous in-flight work was already
+  // re-issued; it simply offers capacity again.
+  p.online = true;
+  // Reconciliation (r5): the beat lists every attempt the provider holds.
+  // One omission can be a beat that overtook the assign or the result; a
+  // second consecutive one means that frame was lost.
+  std::vector<AttemptId> omitted;
+  std::vector<AttemptId> lost;
+  for (const AttemptId attempt : p.inflight) {
+    if (std::binary_search(m.attempts.begin(), m.attempts.end(), attempt)) {
+      continue;
+    }
+    const bool again =
+        std::binary_search(p.omitted.begin(), p.omitted.end(), attempt);
+    (again ? lost : omitted).push_back(attempt);
+  }
+  std::sort(omitted.begin(), omitted.end());
+  p.omitted = std::move(omitted);
+  std::sort(lost.begin(), lost.end());
+  for (const AttemptId attempt : lost) {
+    fence_attempt(attempt, Fence::kReconciled, now, out);
   }
   request_drain(now, out);
 }
@@ -842,9 +789,9 @@ void Broker::handle_attempt_result(NodeId from, const proto::AttemptResult& m,
       auto& view = pit->second.view;
       const double success =
           m.outcome.status == proto::AttemptStatus::kOk ? 1.0 : 0.0;
-      view.observed_reliability = (1.0 - config_.reliability_alpha) *
-                                      view.observed_reliability +
-                                  config_.reliability_alpha * success;
+      view.observed_reliability =
+          (1.0 - kReliabilityAlpha) * view.observed_reliability +
+          kReliabilityAlpha * success;
       if (m.outcome.status == proto::AttemptStatus::kOk) {
         view.completed += 1;
       } else {
@@ -972,33 +919,47 @@ void Broker::on_provider_lost(NodeId provider, SimTime now, proto::Outbox& out) 
   p.draining = false;
   const auto inflight = std::move(p.inflight);
   p.inflight.clear();
-  // Synthesize loss results for every in-flight attempt so the normal
-  // re-issue path runs.
   for (const AttemptId attempt : inflight) {
-    const auto idx = attempt_index_.find(attempt);
-    if (idx == attempt_index_.end()) continue;
-    proto::AttemptResult lost;
-    lost.attempt = attempt;
-    lost.tasklet = idx->second;
-    lost.outcome.status = proto::AttemptStatus::kProviderLost;
-    lost.outcome.error = "provider lost";
-    // Reuse the handler but without crediting the (gone) provider.
-    const TaskletId id = idx->second;
-    attempt_index_.erase(idx);
-    const auto tit = tasklets_.find(id);
-    if (tit == tasklets_.end()) continue;  // evicted terminal record
-    auto& state = tit->second;
-    if (const auto ait = state.attempts.find(attempt);
-        ait != state.attempts.end()) {
-      end_attempt_span(state, id, ait->second, now, "provider_lost");
-    }
-    state.attempts.erase(attempt);
-    if (state.done) continue;
-    ++stats_.attempts_lost;
-    TASKLETS_COUNT("broker.attempts_lost", 1);
-    reissue_or_exhaust(id, state, now, out);
+    fence_attempt(attempt, Fence::kProviderLost, now, out);
   }
   request_drain(now, out);
+}
+
+void Broker::fence_attempt(AttemptId attempt, Fence cause, SimTime now,
+                           proto::Outbox& out) {
+  const auto idx = attempt_index_.find(attempt);
+  if (idx == attempt_index_.end()) return;
+  const TaskletId id = idx->second;
+  attempt_index_.erase(idx);
+  const auto tit = tasklets_.find(id);
+  if (tit == tasklets_.end()) return;  // evicted terminal record
+  auto& state = tit->second;
+  const auto ait = state.attempts.find(attempt);
+  if (ait == state.attempts.end()) return;
+  static constexpr std::string_view kStatus[] = {"provider_lost", "straggler",
+                                                 "reconciled"};
+  end_attempt_span(state, id, ait->second, now,
+                   kStatus[static_cast<std::size_t>(cause)]);
+  if (const auto pit = providers_.find(ait->second.provider);
+      pit != providers_.end()) {
+    pit->second.inflight.erase(attempt);
+    if (cause == Fence::kStraggler) pit->second.view.straggler_fences += 1;
+    if (cause == Fence::kReconciled) pit->second.view.reconciled += 1;
+  }
+  state.attempts.erase(ait);
+  if (cause == Fence::kReconciled) {
+    ++stats_.attempts_reconciled;
+    TASKLETS_COUNT("broker.attempts_reconciled", 1);
+    TASKLETS_LOG(kInfo, kLog)
+        << "attempt " << attempt.to_string() << " of tasklet "
+        << id.to_string() << " missing from two heartbeats; fenced";
+  }
+  if (state.done) return;
+  // A straggler's live backup is its reassignment.
+  if (cause == Fence::kStraggler && !state.attempts.empty()) return;
+  ++stats_.attempts_lost;
+  TASKLETS_COUNT("broker.attempts_lost", 1);
+  reissue_or_exhaust(id, state, now, out);
 }
 
 void Broker::reissue_or_exhaust(TaskletId id, TaskletState& state, SimTime now,
@@ -1041,39 +1002,24 @@ void Broker::defend_stragglers(SimTime now, proto::Outbox& out) {
     }
   }
   // Far-gone attempts: fence (the provider's slot is freed and its late
-  // result can no longer count — the same guarantee attempt_timeout gives)
-  // and reassign. A tasklet that was already shadowed by a backup is NOT
-  // re-issued again: the live backup is the reassignment.
+  // result can no longer count) and reassign.
   for (const auto& [attempt, tasklet_id] : fence) {
     const auto tit = tasklets_.find(tasklet_id);
     if (tit == tasklets_.end()) continue;  // evicted mid-loop
-    auto& state = tit->second;
-    NodeId provider;
-    if (const auto ait = state.attempts.find(attempt);
-        ait != state.attempts.end()) {
-      provider = ait->second.provider;
-      end_attempt_span(state, tasklet_id, ait->second, now, "straggler");
-      if (const auto pit = providers_.find(provider); pit != providers_.end()) {
-        pit->second.inflight.erase(attempt);
-        pit->second.view.straggler_fences += 1;
-      }
-      state.attempts.erase(ait);
+    const TaskletState& state = tit->second;
+    const auto ait = state.attempts.find(attempt);
+    if (ait == state.attempts.end()) continue;
+    if (!state.done) {
+      ++stats_.straggler_reassigns;
+      TASKLETS_COUNT("broker.straggler_reassigns", 1);
+      trace_instant(state, "reassign", tasklet_id, now,
+                    {{"from", ait->second.provider.to_string()},
+                     {"bound", format_duration(2 * bound)}});
     }
-    attempt_index_.erase(attempt);
-    if (state.done) continue;
-    ++stats_.straggler_reassigns;
-    TASKLETS_COUNT("broker.straggler_reassigns", 1);
-    trace_instant(state, "reassign", tasklet_id, now,
-                  {{"from", provider.to_string()},
-                   {"bound", format_duration(2 * bound)}});
-    if (state.attempts.empty()) {
-      ++stats_.attempts_lost;
-      TASKLETS_COUNT("broker.attempts_lost", 1);
-      reissue_or_exhaust(tasklet_id, state, now, out);
-    }
+    fence_attempt(attempt, Fence::kStraggler, now, out);
   }
-  // Moderately late attempts: one speculative backup, exactly like the
-  // speculative_after path (first result wins, loser fenced on arrival).
+  // Moderately late attempts: one speculative backup (first result wins,
+  // the loser is fenced on arrival).
   for (const TaskletId id : shadow) {
     const auto tit = tasklets_.find(id);
     if (tit == tasklets_.end()) continue;  // evicted mid-loop
@@ -1113,7 +1059,7 @@ bool Broker::admission_rejects(TaskletId id, TaskletState& state, SimTime now,
   }
   if (best <= 0.0) return false;
   const double predicted_s =
-      config_.admission_safety * static_cast<double>(synthetic->fuel) / best;
+      kAdmissionSafety * static_cast<double>(synthetic->fuel) / best;
   if (from_seconds(predicted_s) <= state.spec.qoc.deadline) return false;
   ++stats_.admission_rejected;
   TASKLETS_COUNT("broker.admission_rejected", 1);
@@ -1313,7 +1259,7 @@ bool Broker::resolve_body(TaskletId id, TaskletState& state, SimTime now,
     }
     // Unknown content: pull the bytes from the submitting consumer. The
     // tasklet parks (deadline timer already armed) until ProgramData lands;
-    // the scan timer re-sends the fetch and enforces program_fetch_grace.
+    // the scan timer re-sends the fetch and enforces kProgramFetchGrace.
     // One FetchProgram per digest, however many tasklets pile up on it —
     // later waiters ride the in-flight fetch (the scan retry covers loss).
     state.awaiting_program = true;
@@ -1406,7 +1352,7 @@ void Broker::mark_warm(ProviderState& provider, const store::Digest& digest) {
   if (provider.warm.contains(digest)) return;
   provider.warm.insert(digest);
   provider.warm_order.push_back(digest);
-  while (provider.warm_order.size() > config_.warm_entries_per_provider) {
+  while (provider.warm_order.size() > kWarmEntriesPerProvider) {
     provider.warm.erase(provider.warm_order.front());
     provider.warm_order.pop_front();
   }

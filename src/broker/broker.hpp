@@ -51,43 +51,30 @@ struct BrokerConfig {
   // this separate budget: unlike losses they cost nothing but a round trip,
   // so they should not burn the QoC re-issue budget.
   std::uint32_t max_rejections = 64;
-  // EWMA factor for observed provider reliability.
-  double reliability_alpha = 0.2;
   // How long a gracefully-draining provider gets to checkpoint and report
   // its in-flight work before the broker gives up and re-issues it.
   SimTime drain_grace = 10 * kSecond;
-  // Straggler mitigation (MapReduce-style backup tasks): when > 0, an
-  // attempt of a non-redundant tasklet that has been running longer than
-  // this is shadowed by one speculative replica on a different provider;
-  // the first result wins, the loser is discarded. 0 disables speculation.
-  SimTime speculative_after = 0;
-  // Lost-message recovery: when > 0, an attempt with no result after this
-  // long is fenced (its provider slot freed, late results ignored) and
-  // re-issued under the QoC re-issue budget. Covers dropped AssignTasklet /
-  // AttemptResult frames, which heartbeat liveness cannot see. 0 disables.
-  SimTime attempt_timeout = 0;
   // Per-provider effective-speed estimation (EWMA of fuel/s per completed
   // attempt). Always on — it is passive measurement; only the adaptive
   // policy and the defenses below consume it.
   SpeedEstimatorConfig speed_estimator;
-  // Quantile-based straggler defense: when `straggler_multiplier` > 0, an
-  // in-flight attempt older than multiplier × the `straggler_quantile` of
-  // completed-attempt durations gets one speculative backup; past twice
-  // that bound it is fenced (late result ignored) and reassigned. Unlike
-  // `speculative_after` / `attempt_timeout` this bound adapts to what the
-  // pool actually needs, so it stays quiet on a uniformly slow pool and
-  // fires early on a fast one. Engages only after `straggler_min_samples`
-  // completions — before that the duration distribution is too thin.
+  // Quantile-based straggler defense (MapReduce-style backup tasks): when
+  // `straggler_multiplier` > 0, an attempt of a non-redundant tasklet older
+  // than multiplier × the `straggler_quantile` of completed-attempt
+  // durations gets one speculative backup on a different provider (the
+  // first result wins); past twice that bound it is fenced (late result
+  // ignored) and reassigned. The bound adapts to what the pool actually
+  // needs, so it stays quiet on a uniformly slow pool and fires early on a
+  // fast one. Engages only after `straggler_min_samples` completions —
+  // before that the duration distribution is too thin.
   double straggler_multiplier = 0.0;
   double straggler_quantile = 0.95;
   std::size_t straggler_min_samples = 20;
   // Deadline admission control: reject a submission outright (as
   // unschedulable) when its QoC deadline cannot be met even by the fastest
   // admissible provider at measured speed. Only synthetic bodies carry a
-  // known fuel requirement, so only they are ever rejected. `safety`
-  // inflates the predicted runtime to cover queueing and transfer.
+  // known fuel requirement, so only they are ever rejected.
   bool admission_control = false;
-  double admission_safety = 1.25;
   std::uint64_t rng_seed = 0x7A5CB0A7;
   // Span collector; nullptr disables tracing at the broker.
   TraceStore* trace = nullptr;
@@ -102,11 +89,6 @@ struct BrokerConfig {
   std::size_t blob_budget_bytes = 64u << 20;
   // Result memo table capacity ((program, args) entries).
   std::size_t memo_entries = 4096;
-  // Per-provider warm-digest history the affinity scheduling tracks.
-  std::size_t warm_entries_per_provider = 256;
-  // A DigestBody submission whose program cannot be fetched from its
-  // consumer within this grace fails kExhausted.
-  SimTime program_fetch_grace = 10 * kSecond;
 
   // --- swarm scale (r5) -------------------------------------------------------
   // Concluded tasklets kept for duplicate-submit replay. 0 keeps every
@@ -137,7 +119,7 @@ struct BrokerStats {
   std::uint64_t migrations = 0;         // suspended attempts re-placed
   std::uint64_t duplicate_submits = 0;  // SubmitTasklet retransmits fenced
   std::uint64_t duplicate_results = 0;  // late/fenced AttemptResults ignored
-  std::uint64_t attempts_timed_out = 0; // attempts fenced by attempt_timeout
+  std::uint64_t attempts_reconciled = 0;  // omitted by two heartbeats, fenced
   std::uint64_t straggler_reassigns = 0;  // attempts fenced by the straggler bound
   std::uint64_t admission_rejected = 0;   // submits rejected as deadline-infeasible
   // Content-addressed store (r3).
@@ -221,6 +203,9 @@ class Broker final : public proto::Actor {
     // not a restart.
     std::uint64_t incarnation = 0;
     std::unordered_set<AttemptId> inflight;
+    // The in-flight attempts the last heartbeat omitted (ascending); a
+    // second consecutive omission fences them (handle_heartbeat).
+    std::vector<AttemptId> omitted;
     // Program digests this provider's cache is believed to hold (from
     // inline assignments and served fetches); FIFO-capped. Cleared when a
     // new incarnation registers — the cache died with the old process.
@@ -406,6 +391,14 @@ class Broker final : public proto::Actor {
 
   // --- lifecycle ------------------------------------------------------------------
   void on_provider_lost(NodeId provider, SimTime now, proto::Outbox& out);
+  // Why an attempt is fenced: picks its span status and counters.
+  enum class Fence : std::uint8_t { kProviderLost, kStraggler, kReconciled };
+  // Fences one outstanding attempt: frees its provider slot, drops it from
+  // the attempt index and its tasklet (a late result then counts as a
+  // duplicate), closes its span and re-issues the tasklet unless it has
+  // concluded or, for a straggler, its speculative backup still runs.
+  void fence_attempt(AttemptId attempt, Fence cause, SimTime now,
+                     proto::Outbox& out);
   void record_vote(TaskletState& state, const proto::AttemptOutcome& outcome,
                    NodeId provider);
   // Checks whether voting has concluded; completes the tasklet if so.

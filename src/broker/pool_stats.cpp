@@ -15,7 +15,7 @@ double speed_confidence(const ProviderView& view, std::uint64_t min_samples) {
 
 double health_score(const ProviderView& view) {
   const double fences = static_cast<double>(view.straggler_fences) +
-                        static_cast<double>(view.timed_out);
+                        static_cast<double>(view.reconciled);
   const double done = static_cast<double>(view.completed) + 1.0;
   const double discount = done / (done + 2.0 * fences);
   const double reliability =

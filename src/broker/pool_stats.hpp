@@ -7,7 +7,7 @@
 //
 //   * health_score: how trustworthy one provider currently is, folding the
 //     observed-reliability EWMA together with how often its attempts had to
-//     be fenced (straggler defense) or timed out.
+//     be fenced (straggler defense, heartbeat reconciliation).
 //   * heterogeneity: how spread out the pool's *effective* speeds are, as a
 //     single bounded number. Defined as cv / (1 + cv) where cv is the
 //     confidence-weighted coefficient of variation of effective fuel/s over
@@ -33,7 +33,7 @@ namespace tasklets::broker {
 
 // Health in [0, 1]: observed reliability discounted by fence pressure —
 //   reliability * (completed + 1) / (completed + 1 + 2 * fences)
-// where fences counts straggler reassignments plus attempt timeouts. A
+// where fences counts straggler fences plus reconciled attempts. A
 // provider that completes work and never gets fenced scores its reliability;
 // every fence costs as much credibility as two completions rebuild.
 [[nodiscard]] double health_score(const ProviderView& view);

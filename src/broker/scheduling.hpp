@@ -40,9 +40,9 @@ struct ProviderView {
   std::uint64_t speed_samples = 0;
   // Fence pressure feeding the per-node health score (pool_stats.hpp):
   // attempts of this provider fenced by the quantile straggler defense and
-  // by the attempt timeout, respectively.
+  // by heartbeat reconciliation, respectively.
   std::uint64_t straggler_fences = 0;
-  std::uint64_t timed_out = 0;
+  std::uint64_t reconciled = 0;
 
   [[nodiscard]] double load() const noexcept {
     return capability.slots == 0

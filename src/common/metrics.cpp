@@ -27,9 +27,10 @@ std::map<std::string, std::string, std::less<>>& help_catalog() {
       {"broker.attempts_issued", "assignments sent to providers"},
       {"broker.attempts_ok", "attempts that returned a successful outcome"},
       {"broker.attempts_lost", "attempts lost with their provider"},
-      {"broker.attempts_timed_out", "attempts fenced by the attempt timeout"},
+      {"broker.attempts_reconciled",
+       "attempts fenced after two heartbeats omitted them"},
       {"broker.duplicate_results", "late or stale attempt results dropped"},
-      {"broker.reissues", "recovery re-issues after loss or timeout"},
+      {"broker.reissues", "recovery re-issues after a lost attempt"},
       {"broker.migrations", "suspended snapshots migrated to another node"},
       {"broker.speculations", "speculative backup attempts issued"},
       {"broker.completed", "tasklets concluded successfully"},

@@ -257,8 +257,8 @@ std::string OpsPlane::handle_status() {
   append_u64(out, state.stats.attempts_lost);
   out += ",\"reissues\":";
   append_u64(out, state.stats.reissues);
-  out += ",\"timed_out\":";
-  append_u64(out, state.stats.attempts_timed_out);
+  out += ",\"reconciled\":";
+  append_u64(out, state.stats.attempts_reconciled);
   out += ",\"straggler_reassigns\":";
   append_u64(out, state.stats.straggler_reassigns);
   out += ",\"speculations\":";
@@ -384,8 +384,8 @@ std::string OpsPlane::handle_providers() {
     append_u64(out, view.failed);
     out += ",\"straggler_fences\":";
     append_u64(out, view.straggler_fences);
-    out += ",\"timed_out\":";
-    append_u64(out, view.timed_out);
+    out += ",\"reconciled\":";
+    append_u64(out, view.reconciled);
     out += "}";
   }
   out += "]}";
@@ -485,10 +485,10 @@ std::string OpsPlane::handle_top() {
   std::snprintf(line, sizeof line,
                 "attempts: %" PRIu64 " issued  %" PRIu64 " ok  %" PRIu64
                 " lost  %" PRIu64 " straggler-fenced  %" PRIu64
-                " timed-out\n",
+                " reconciled\n",
                 state.stats.attempts_issued, state.stats.attempts_ok,
                 state.stats.attempts_lost, state.stats.straggler_reassigns,
-                state.stats.attempts_timed_out);
+                state.stats.attempts_reconciled);
   text += line;
   std::snprintf(line, sizeof line,
                 "alerts: %" PRIu64 " fired  %zu active\n",
@@ -513,7 +513,7 @@ std::string OpsPlane::handle_top() {
                   view.capability.speed_fuel_per_sec,
                   view.measured_speed_fuel_per_sec, broker::health_score(view),
                   view.warm ? "y" : "-", view.completed,
-                  view.straggler_fences + view.timed_out, memo_entries);
+                  view.straggler_fences + view.reconciled, memo_entries);
     text += line;
   }
   for (const health::Alert& alert : engine_.active_alerts()) {

@@ -102,7 +102,9 @@ class TcpRuntime final : public Runtime {
   [[nodiscard]] std::uint16_t port_of(NodeId id) const;
   // Forcibly closes the pooled outbound connection to `to` (if any). The
   // next send re-establishes it; in-flight frames on the old socket may be
-  // lost. Used by the fault-injection layer to model connection resets.
+  // lost: the protocol recovers them (a lost assign or result drops off the
+  // provider's heartbeats and the broker re-issues it). Used by the
+  // fault-injection layer to model connection resets.
   void drop_connection(NodeId to);
   // Bytes actually pushed through sockets (tests assert the wire was used).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept;

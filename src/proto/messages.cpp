@@ -304,8 +304,8 @@ struct PutVisitor {
   }
   void operator()(const Heartbeat& m) {
     w.write_u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-    w.write_varint(m.busy_slots);
-    w.write_varint(m.queued);
+    w.write_varint(m.attempts.size());
+    for (const AttemptId attempt : m.attempts) w.write_u64(attempt.value());
   }
   void operator()(const AttemptResult& m) {
     w.write_u8(static_cast<std::uint8_t>(Tag::kAttemptResult));
@@ -394,11 +394,16 @@ Result<Message> get_message(ByteReader& r) {
     }
     case Tag::kHeartbeat: {
       Heartbeat m;
-      TASKLETS_ASSIGN_OR_RETURN(auto busy, r.read_varint());
-      m.busy_slots = static_cast<std::uint32_t>(busy);
-      TASKLETS_ASSIGN_OR_RETURN(auto queued, r.read_varint());
-      m.queued = static_cast<std::uint32_t>(queued);
-      return Message{m};
+      TASKLETS_ASSIGN_OR_RETURN(auto count, r.read_varint());
+      if (count > r.remaining() / 8) {
+        return make_error(StatusCode::kDataLoss, "bad heartbeat attempt count");
+      }
+      m.attempts.reserve(static_cast<std::size_t>(count));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        TASKLETS_ASSIGN_OR_RETURN(auto attempt, r.read_u64());
+        m.attempts.push_back(AttemptId{attempt});
+      }
+      return Message{std::move(m)};
     }
     case Tag::kAttemptResult: {
       AttemptResult m;
@@ -570,6 +575,9 @@ std::size_t message_wire_size(const Message& m) noexcept {
       size += body_wire_size(node.body) + 8 * node.inputs.size() + 8;
     }
     return size;
+  }
+  if (const auto* beat = std::get_if<Heartbeat>(&m)) {
+    return kHeader + 8 * beat->attempts.size();
   }
   if (const auto* node_result = std::get_if<DagNodeResult>(&m)) {
     return kHeader + tvm::arg_wire_size(node_result->report.result);

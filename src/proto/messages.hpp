@@ -7,6 +7,7 @@
 #pragma once
 
 #include <variant>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -36,9 +37,11 @@ struct DeregisterProvider {
   bool draining = false;
 };
 
+// Liveness beat (r5): the ascending ids of every attempt the provider holds
+// — accepted and not yet answered, running or parked on a program fetch.
+// The broker fences and re-issues an attempt that two consecutive beats omit.
 struct Heartbeat {
-  std::uint32_t busy_slots = 0;
-  std::uint32_t queued = 0;
+  std::vector<AttemptId> attempts;
 };
 
 // Provider's answer to an assignment.
@@ -166,9 +169,10 @@ using Message =
 [[nodiscard]] std::string_view message_name(const Message& m) noexcept;
 
 // Approximate wire size of a message: a fixed header estimate plus the
-// dominant variable parts (bodies, results, program blobs). Shared by the
-// simulator's transfer-time model and the runtimes' byte counters, so both
-// report the same "bytes on wire" for a given traffic mix.
+// dominant variable parts (bodies, results, program blobs, heartbeat attempt
+// lists). Shared by the simulator's transfer-time model and the runtimes'
+// byte counters, so both report the same "bytes on wire" for a given traffic
+// mix.
 [[nodiscard]] std::size_t message_wire_size(const Message& m) noexcept;
 
 struct Envelope {

@@ -1,5 +1,7 @@
 #include "provider/provider.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 
@@ -62,9 +64,11 @@ void ProviderAgent::on_timer(std::uint64_t timer_id, SimTime now,
   if (timer_id != kHeartbeatTimer) return;
   if (online_) {
     if (registered_) {
+      // The held attempts let the broker notice a lost assign or result.
       proto::Heartbeat hb;
-      hb.busy_slots = busy_slots();
-      out.send(broker_, hb);
+      hb.attempts.assign(inflight_.begin(), inflight_.end());
+      std::sort(hb.attempts.begin(), hb.attempts.end());
+      out.send(broker_, std::move(hb));
     } else {
       // Registration is at-least-once: keep re-sending on the heartbeat
       // cadence until the broker acks this incarnation. The broker treats
@@ -110,8 +114,8 @@ void ProviderAgent::handle_assign(const proto::AssignTasklet& m, SimTime now,
   if (seen_attempts_.contains(m.attempt)) {
     // Duplicate retransmit of an attempt we already accepted (possibly long
     // finished). Re-executing would double-spend the slot and double-report;
-    // staying silent is safe because the broker re-issues via its attempt
-    // timeout if the original result was lost.
+    // staying silent is safe because a lost original result leaves the
+    // attempt off our heartbeats, and the broker re-issues it after two.
     ++stats_.duplicate_assigns;
     TASKLETS_COUNT("provider.duplicate_assigns", 1);
     return;

@@ -7,8 +7,11 @@
 // re-growing their own.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +49,9 @@ class BrokerHarness {
   }
 
   void deliver(NodeId from, proto::Message message) {
+    if (const auto* result = std::get_if<proto::AttemptResult>(&message)) {
+      held_[from].erase(result->attempt);
+    }
     proto::Outbox out(kBrokerId);
     broker_.on_message(proto::Envelope{from, kBrokerId, std::move(message)},
                        now, out);
@@ -85,6 +91,13 @@ class BrokerHarness {
     deliver(id, proto::RegisterProvider{std::move(c)});
   }
 
+  // A heartbeat listing every attempt assigned to `provider` that it has
+  // not answered yet: a healthy provider, as reconciliation (r5) sees it.
+  void heartbeat(NodeId provider) {
+    const std::set<AttemptId>& held = held_[provider];
+    deliver(provider, proto::Heartbeat{{held.begin(), held.end()}});
+  }
+
   TaskletId submit(proto::Qoc qoc = {}, std::int64_t result = 7,
                    std::string origin = {}) {
     proto::TaskletSpec spec;
@@ -119,12 +132,32 @@ class BrokerHarness {
     deliver(provider, r);
   }
 
+  // `n` submit/complete round trips of `duration` each, so the completion
+  // histogram has enough mass for the straggler bound to engage.
+  void feed_completions(int n, SimTime duration) {
+    for (int i = 0; i < n; ++i) {
+      clear_sent();
+      submit({}, 1);
+      const auto assigns = all_sent<proto::AssignTasklet>();
+      ASSERT_EQ(assigns.size(), 1u);
+      now += duration;
+      complete(assigns[0].first, assigns[0].second, 1);
+    }
+    clear_sent();
+  }
+
   Broker& broker() { return broker_; }
   SimTime now = 0;
 
  private:
   void absorb(proto::Outbox& out) {
-    for (auto& envelope : out.take_messages()) sent_.push_back(std::move(envelope));
+    for (auto& envelope : out.take_messages()) {
+      if (const auto* assign =
+              std::get_if<proto::AssignTasklet>(&envelope.payload)) {
+        held_[envelope.to].insert(assign->attempt);
+      }
+      sent_.push_back(std::move(envelope));
+    }
     for (const auto& timer : out.take_timers()) {
       timers_[timer.timer_id] = now + timer.delay;
     }
@@ -133,6 +166,8 @@ class BrokerHarness {
   Broker broker_;
   std::vector<proto::Envelope> sent_;
   std::map<std::uint64_t, SimTime> timers_;
+  // Attempts assigned to each provider and not answered (heartbeat()).
+  std::map<NodeId, std::set<AttemptId>> held_;
   TaskletId next_tasklet_{1};
 };
 

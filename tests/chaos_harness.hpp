@@ -38,16 +38,14 @@ inline net::LinkFaults lossy_link(double drop, double duplicate = 0.0,
   return faults;
 }
 
-// System configuration tuned for chaos tests: fast heartbeats so provider
-// expiry is quick, an attempt timeout so dropped assigns/results are fenced
-// and re-issued, and an aggressive consumer resubmission loop. Execution in
-// these tests is sub-millisecond, so a 500 ms attempt timeout never fences
-// a healthy attempt.
+// System configuration tuned for fast chaos tests: the default config
+// recovers from the same faults (heartbeat reconciliation re-issues dropped
+// assigns/results), but 100 ms heartbeats make provider expiry and
+// reconciliation ten times quicker, and the consumer resubmits aggressively.
 inline core::SystemConfig chaos_config(net::FaultPlan plan) {
   core::SystemConfig config;
   config.broker.heartbeat_interval = 100 * kMillisecond;
   config.broker.scan_interval = 50 * kMillisecond;
-  config.broker.attempt_timeout = 500 * kMillisecond;
   config.consumer.backoff = {300 * kMillisecond, 2 * kSecond, 2.0, 0.2};
   config.consumer.max_resubmits = 40;
   config.fault_plan = std::move(plan);

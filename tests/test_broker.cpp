@@ -368,7 +368,7 @@ TEST(BrokerTest, HeartbeatTimeoutExpiresProviderAndReissues) {
 
   // Only the SBC keeps heartbeating; the server goes silent.
   h.now += 2 * kSecond;
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{3});
   h.now += 2 * kSecond;  // server is now 4s stale (> 3x interval)
   h.fire_timer(1);       // liveness scan
 
@@ -379,7 +379,7 @@ TEST(BrokerTest, HeartbeatTimeoutExpiresProviderAndReissues) {
   EXPECT_EQ(h.broker().online_provider_count(), 1u);
 
   // The expired provider's heartbeat revives it.
-  h.deliver(NodeId{2}, Heartbeat{});
+  h.heartbeat(NodeId{2});
   EXPECT_EQ(h.broker().online_provider_count(), 2u);
 }
 
@@ -431,19 +431,21 @@ TEST(BrokerTest, CancelSuppressesCompletion) {
 
 TEST(BrokerTest, SpeculativeBackupIssuedForStraggler) {
   BrokerConfig config;
-  config.speculative_after = 2 * kSecond;
+  config.straggler_multiplier = 2.0;
+  config.straggler_min_samples = 5;
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
+  h.feed_completions(5, 1 * kSecond);  // bound ~= 2 x p95(1s) ~= 2s
   h.submit({}, 5);
   auto assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 1u);
   const NodeId original = assigns[0].first;
 
-  // Keep both providers alive, let the attempt exceed the threshold.
+  // Keep both providers alive, let the attempt exceed the bound.
   h.now += 3 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 2u);  // backup issued
@@ -451,10 +453,11 @@ TEST(BrokerTest, SpeculativeBackupIssuedForStraggler) {
   EXPECT_EQ(assigns[1].second.tasklet, assigns[0].second.tasklet);
   EXPECT_EQ(h.broker().stats().speculations, 1u);
 
-  // Only one backup ever: another scan adds nothing.
+  // Only one backup ever: another scan adds nothing (the original, now past
+  // twice the bound, is fenced, and the live backup is its replacement).
   h.now += 3 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
 
@@ -473,10 +476,11 @@ TEST(BrokerTest, SpeculationDisabledByDefault) {
   BrokerHarness h;
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
+  h.feed_completions(30, 1 * kSecond);
   h.submit({}, 5);
   h.now += 60 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 1u);
   EXPECT_EQ(h.broker().stats().speculations, 0u);
@@ -484,17 +488,20 @@ TEST(BrokerTest, SpeculationDisabledByDefault) {
 
 TEST(BrokerTest, SpeculationSkipsRedundantTasklets) {
   BrokerConfig config;
-  config.speculative_after = 1 * kSecond;
+  config.straggler_multiplier = 2.0;
+  config.straggler_min_samples = 5;
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
   h.register_provider(NodeId{4});
+  h.feed_completions(5, 1 * kSecond);
   Qoc qoc;
   qoc.redundancy = 2;
   h.submit(qoc, 5);
   EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
-  h.now += 5 * kSecond;
-  for (std::uint64_t p = 2; p <= 4; ++p) h.deliver(NodeId{p}, Heartbeat{});
+  // Past the bound, short of twice it (which would fence).
+  h.now += 3 * kSecond;
+  for (std::uint64_t p = 2; p <= 4; ++p) h.heartbeat(NodeId{p});
   h.fire_timer(1);
   // Redundant tasklets already have replicas; no speculation on top.
   EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
@@ -503,15 +510,17 @@ TEST(BrokerTest, SpeculationSkipsRedundantTasklets) {
 
 TEST(BrokerTest, OriginalWinningBeatsBackupWithoutWinStat) {
   BrokerConfig config;
-  config.speculative_after = 1 * kSecond;
+  config.straggler_multiplier = 2.0;
+  config.straggler_min_samples = 5;
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
+  h.feed_completions(5, 1 * kSecond);
   h.submit({}, 9);
   auto assigns = h.all_sent<AssignTasklet>();
-  h.now += 2 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.now += 3 * kSecond;
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 2u);
@@ -521,7 +530,6 @@ TEST(BrokerTest, OriginalWinningBeatsBackupWithoutWinStat) {
   EXPECT_EQ(h.broker().stats().speculation_wins, 0u);
   EXPECT_EQ(h.broker().stats().speculations, 1u);
 }
-
 
 // --- migration (suspended attempts) ------------------------------------------------
 
@@ -604,7 +612,7 @@ TEST(BrokerTest, DrainGraceExpiryReissuesFromScratch) {
 
   // The checkpoint never arrives; the grace expires.
   h.now += 6 * kSecond;
-  h.deliver(NodeId{2} == leaving ? NodeId{3} : NodeId{2}, Heartbeat{});
+  h.heartbeat(NodeId{2} == leaving ? NodeId{3} : NodeId{2});
   h.fire_timer(1);
   assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 2u);
@@ -817,34 +825,72 @@ TEST(BrokerTest, NewIncarnationReregisterRestartsInflightWork) {
   EXPECT_GE(h.broker().stats().duplicate_results, 1u);
 }
 
-TEST(BrokerTest, AttemptTimeoutFencesAndReissues) {
-  BrokerConfig config;
-  config.attempt_timeout = 1 * kSecond;
-  BrokerHarness h("qoc_aware", config);
+// --- heartbeat reconciliation (r5) --------------------------------------------------
+
+TEST(BrokerTest, ListedAttemptIsNeverFenced) {
+  BrokerHarness h;
+  h.register_provider(NodeId{2});
+  h.register_provider(NodeId{3});
+  h.submit({}, 7);
+  ASSERT_EQ(h.all_sent<AssignTasklet>().size(), 1u);
+  for (int beat = 0; beat < 10; ++beat) {
+    h.now += 1 * kSecond;
+    h.heartbeat(NodeId{2});
+    h.heartbeat(NodeId{3});
+    h.fire_timer(1);
+  }
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 0u);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 1u);
+}
+
+TEST(BrokerTest, OneOmissionOnlyMarksTheAttempt) {
+  BrokerHarness h;
+  h.register_provider(NodeId{2});
+  h.register_provider(NodeId{3});
+  h.submit({}, 7);
+  const auto assigns = h.all_sent<AssignTasklet>();
+  ASSERT_EQ(assigns.size(), 1u);
+  // This beat overtook the assign (or the result): no verdict yet.
+  h.deliver(assigns[0].first, Heartbeat{});
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 0u);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 1u);
+  h.complete(assigns[0].first, assigns[0].second, 7);
+  const auto dones = h.sent_to<TaskletDone>(kConsumer);
+  ASSERT_EQ(dones.size(), 1u);
+  EXPECT_EQ(dones[0].report.status, TaskletStatus::kCompleted);
+  EXPECT_EQ(h.broker().stats().duplicate_results, 0u);
+}
+
+TEST(BrokerTest, SecondOmissionFencesAndReissuesOnce) {
+  BrokerHarness h;
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
   h.submit({}, 7);
   auto assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 1u);
-  const NodeId slow = assigns[0].first;
+  const NodeId holder = assigns[0].first;
 
-  // Keep both providers alive but never deliver the result: the attempt
-  // timeout (not heartbeat liveness) must recover it.
-  h.now += 2 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
-  h.fire_timer(1);
-  EXPECT_EQ(h.broker().stats().attempts_timed_out, 1u);
+  // The provider never got the assign (or its result was lost): two
+  // consecutive beats omit the attempt, and the broker re-issues it.
+  h.deliver(holder, Heartbeat{});
+  h.deliver(holder, Heartbeat{});
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 1u);
+  EXPECT_EQ(h.broker().stats().reissues, 1u);
   assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 2u);
-  // Re-issue prefers a fresh provider.
-  EXPECT_NE(assigns[1].first, slow);
+  EXPECT_NE(assigns[1].first, holder);  // re-issue prefers a fresh provider
 
-  // The original provider finally answers: late result, fenced.
-  h.clear_sent();
-  h.complete(slow, assigns[0].second, 999);
+  // The fenced attempt is gone: further omissions re-issue nothing.
+  h.deliver(holder, Heartbeat{});
+  h.deliver(holder, Heartbeat{});
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 1u);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
+
+  // The original result was only late: fenced as a duplicate.
+  const auto dupes = h.broker().stats().duplicate_results;
+  h.complete(holder, assigns[0].second, 999);
   EXPECT_TRUE(h.sent_to<TaskletDone>(kConsumer).empty());
-  EXPECT_GE(h.broker().stats().duplicate_results, 1u);
+  EXPECT_EQ(h.broker().stats().duplicate_results, dupes + 1);
 
   h.complete(assigns[1].first, assigns[1].second, 7);
   const auto done = h.sent_to<TaskletDone>(kConsumer);
@@ -852,6 +898,57 @@ TEST(BrokerTest, AttemptTimeoutFencesAndReissues) {
   EXPECT_EQ(done[0].report.status, TaskletStatus::kCompleted);
   EXPECT_EQ(std::get<std::int64_t>(done[0].report.result), 7);
   EXPECT_EQ(h.broker().stats().attempts_ok, 1u);
+}
+
+TEST(BrokerTest, ListingBetweenOmissionsClearsTheMark) {
+  BrokerHarness h;
+  h.register_provider(NodeId{2});
+  h.submit({}, 7);
+  const auto assigns = h.all_sent<AssignTasklet>();
+  ASSERT_EQ(assigns.size(), 1u);
+  const AttemptId attempt = assigns[0].second.attempt;
+  h.deliver(NodeId{2}, Heartbeat{});
+  h.deliver(NodeId{2}, Heartbeat{{attempt}});
+  h.deliver(NodeId{2}, Heartbeat{});
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 0u);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 1u);
+  h.deliver(NodeId{2}, Heartbeat{});  // now two in a row
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 1u);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
+}
+
+TEST(BrokerTest, OmittedSpeculationLoserIsFencedWithoutReissue) {
+  BrokerConfig config;
+  config.straggler_multiplier = 2.0;
+  config.straggler_min_samples = 5;
+  BrokerHarness h("qoc_aware", config);
+  h.register_provider(NodeId{2});
+  h.register_provider(NodeId{3});
+  h.feed_completions(5, 1 * kSecond);
+  h.submit({}, 9);
+  h.now += 3 * kSecond;
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
+  h.fire_timer(1);  // past the bound: one backup
+  const auto assigns = h.all_sent<AssignTasklet>();
+  ASSERT_EQ(assigns.size(), 2u);
+  const auto loser = assigns[0];
+  h.complete(assigns[1].first, assigns[1].second, 9);
+  ASSERT_EQ(h.sent_to<TaskletDone>(kConsumer).size(), 1u);
+
+  // The loser's result is lost: its provider's beats omit it twice. The
+  // fence frees the slot; the concluded tasklet is not re-issued.
+  const auto stats_before = h.broker().stats();
+  h.deliver(loser.first, Heartbeat{});
+  h.deliver(loser.first, Heartbeat{});
+  EXPECT_EQ(h.broker().stats().attempts_reconciled, 1u);
+  EXPECT_EQ(h.broker().stats().reissues, stats_before.reissues);
+  EXPECT_EQ(h.broker().stats().attempts_lost, stats_before.attempts_lost);
+  EXPECT_EQ(h.all_sent<AssignTasklet>().size(), 2u);
+  for (const auto& view : h.broker().provider_views()) {
+    EXPECT_EQ(view.busy_slots, 0u) << view.id.to_string();
+  }
+  EXPECT_EQ(h.sent_to<TaskletDone>(kConsumer).size(), 1u);
 }
 
 // --- scheduling policies (direct) ----------------------------------------------

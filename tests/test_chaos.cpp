@@ -3,9 +3,9 @@
 // The fault layer (net/fault.hpp) drops, duplicates, delays, reorders and
 // corrupts frames, partitions links and resets TCP connections according to
 // a seeded plan. These tests assert the recovery machinery above it —
-// consumer resubmission, broker idempotency/fencing, attempt timeouts and
-// heartbeat liveness — delivers exactly-once *reported* semantics on top of
-// an at-least-once wire.
+// consumer resubmission, broker idempotency/fencing, heartbeat
+// reconciliation and heartbeat liveness — delivers exactly-once *reported*
+// semantics on top of an at-least-once wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,8 +58,8 @@ std::vector<FaultEvent> scripted_trace(std::uint64_t seed, int messages) {
   FaultyRuntime runtime(std::make_unique<InProcRuntime>(), plan_with(faults, seed));
   runtime.add(std::make_unique<SinkActor>(NodeId{2}));
   for (int i = 0; i < messages; ++i) {
-    runtime.route(proto::Envelope{NodeId{1}, NodeId{2},
-                                  proto::Heartbeat{static_cast<std::uint32_t>(i), 0}});
+    const AttemptId seq{static_cast<std::uint64_t>(i)};
+    runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{{seq}}});
   }
   auto trace = runtime.trace();
   runtime.stop_all();
@@ -104,10 +104,10 @@ TEST(ChaosDeterminism, PartitionBlocksBothDirectionsUntilHealed) {
 
 // Every tasklet must complete with the right value despite pervasive drops,
 // duplicates, delays and reordering on every link. Drops of AssignTasklet /
-// AttemptResult are recovered by the broker's attempt timeout; drops of
-// SubmitTasklet / TaskletDone by the consumer's resubmission loop (the
-// broker replays the retained final report); duplicates are fenced at every
-// layer.
+// AttemptResult are recovered by the broker's heartbeat reconciliation;
+// drops of SubmitTasklet / TaskletDone by the consumer's resubmission loop
+// (the broker replays the retained final report); duplicates are fenced at
+// every layer.
 TEST(ChaosEndToEnd, LossyInProcClusterStillCompletesEverything) {
   auto system = TaskletSystem(
       chaos_config(plan_with(lossy_link(0.05, 0.10, 0.10, 0.05), 0xC4A05)));
@@ -166,10 +166,8 @@ TEST(ChaosEndToEnd, CorruptionNeverWedgesOrDoubleReports) {
 TEST(ChaosEndToEnd, PartitionTriggersHeartbeatReassignment) {
   auto config = chaos_config(FaultPlan{});
   // This tasklet legitimately runs for ~a second (much longer under
-  // sanitizers): recovery must come from heartbeat liveness, so park the
-  // attempt timeout — and the consumer's local-abandon budget, which only
-  // guards against a dead broker — far out of the picture.
-  config.broker.attempt_timeout = 600 * kSecond;
+  // sanitizers): park the consumer's local-abandon budget, which only
+  // guards against a dead broker, far out of the picture.
   config.consumer.max_resubmits = 1000;
   auto system = TaskletSystem(std::move(config));
   const NodeId first = system.add_provider();
@@ -189,6 +187,62 @@ TEST(ChaosEndToEnd, PartitionTriggersHeartbeatReassignment) {
   EXPECT_EQ(report.executed_by, second);
 }
 
+// --- recovery under the default configuration --------------------------------------
+
+// The default SystemConfig plus a fault plan that drops a quarter of the
+// frames between the broker and its providers, both ways; the consumer's
+// links stay clean. A lost AssignTasklet or AttemptResult leaves the attempt
+// off its provider's heartbeats, and after two such beats the broker fences
+// and re-issues it: there is no timeout to set.
+SystemConfig default_config_dropping_provider_frames(std::uint64_t seed,
+                                                     double reset = 0.0) {
+  net::LinkFaults lossy;
+  lossy.drop = 0.25;
+  lossy.reset = reset;
+  FaultPlan plan;
+  plan.seed = seed;
+  // A TaskletSystem numbers its nodes in creation order: the broker is node
+  // 1, the consumer node 2 and the first two providers nodes 3 and 4.
+  for (const NodeId provider : {NodeId{3}, NodeId{4}}) {
+    plan.links[{NodeId{1}, provider}] = lossy;
+    plan.links[{provider, NodeId{1}}] = lossy;
+  }
+  SystemConfig config;
+  config.fault_plan = std::move(plan);
+  return config;
+}
+
+void expect_every_tasklet_recovers(TaskletSystem& system) {
+  ASSERT_EQ(system.broker_id(), NodeId{1});
+  ASSERT_EQ(system.add_provider(), NodeId{3});
+  ASSERT_EQ(system.add_provider(), NodeId{4});
+  Qoc qoc;
+  qoc.max_reissues = 50;  // the chaos budget: recovery, not a failure signal
+  std::vector<std::future<proto::TaskletReport>> futures;
+  for (int i = 0; i < 16; ++i) {
+    futures.push_back(system.submit(fib_body(12), qoc));
+  }
+  for (auto& future : futures) {
+    const auto report = get_or_die(future);
+    ASSERT_EQ(report.status, TaskletStatus::kCompleted) << report.error;
+    EXPECT_EQ(std::get<std::int64_t>(report.result), 144);
+  }
+  // An attempt was really lost, and reconciliation recovered it.
+  EXPECT_GT(system.broker_stats().attempts_reconciled, 0u);
+}
+
+TEST(ChaosDefaultConfig, InProcRecoversLostAssignsAndResults) {
+  auto system = TaskletSystem(default_config_dropping_provider_frames(0xD3FA17));
+  expect_every_tasklet_recovers(system);
+}
+
+TEST(ChaosDefaultConfig, TcpRecoversLostFramesAndResets) {
+  auto config = default_config_dropping_provider_frames(0x7CD3FA17, 0.05);
+  config.transport = Transport::kTcp;
+  auto system = TaskletSystem(std::move(config));
+  expect_every_tasklet_recovers(system);
+}
+
 // --- tracing under faults ---------------------------------------------------------
 
 const Span* first_named(const std::vector<Span>& spans, std::string_view name) {
@@ -205,7 +259,6 @@ const Span* first_named(const std::vector<Span>& spans, std::string_view name) {
 TEST(ChaosTracing, RetriedTaskletTraceShowsRecoveryInCausalOrder) {
   auto config = chaos_config(FaultPlan{});
   config.tracing = true;
-  config.broker.attempt_timeout = 600 * kSecond;
   config.consumer.max_resubmits = 1000;
   auto system = TaskletSystem(std::move(config));
   const NodeId first = system.add_provider();
@@ -368,15 +421,7 @@ TEST(ChaosIdempotency, StragglerFenceDiscardsLateAndDuplicatedResults) {
                                      proto::DeviceClass::kDesktop, 100e6, 4));
 
   // Feed the completion histogram so the bound engages (~3 x p95 of 1s).
-  for (int i = 0; i < 5; ++i) {
-    h.clear_sent();
-    h.submit({}, 1);
-    const auto warm = h.all_sent<proto::AssignTasklet>();
-    ASSERT_EQ(warm.size(), 1u);
-    h.now += 1 * kSecond;
-    h.complete(warm[0].first, warm[0].second, 1);
-  }
-  h.clear_sent();
+  h.feed_completions(5, 1 * kSecond);
 
   h.submit({}, 42);
   auto assigns = h.all_sent<proto::AssignTasklet>();
@@ -386,8 +431,8 @@ TEST(ChaosIdempotency, StragglerFenceDiscardsLateAndDuplicatedResults) {
   // Run the attempt far past twice the bound: scan speculates, then fences.
   for (int step = 0; step < 2; ++step) {
     h.now += 4 * kSecond;
-    h.deliver(NodeId{2}, proto::Heartbeat{});
-    h.deliver(NodeId{3}, proto::Heartbeat{});
+    h.heartbeat(NodeId{2});
+    h.heartbeat(NodeId{3});
     h.fire_timer(1);
   }
   ASSERT_EQ(h.broker().stats().straggler_reassigns, 1u);

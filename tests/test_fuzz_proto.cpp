@@ -104,7 +104,14 @@ std::vector<proto::Envelope> envelope_corpus() {
   std::vector<Envelope> corpus;
   corpus.push_back({a, b, RegisterProvider{cap, 7}});
   corpus.push_back({a, b, DeregisterProvider{true}});
-  corpus.push_back({a, b, Heartbeat{2, 5}});
+  // r5 heartbeats: no held attempts, one, and a full 64-slot provider.
+  corpus.push_back({a, b, Heartbeat{}});
+  corpus.push_back({a, b, Heartbeat{{AttemptId{9}}}});
+  Heartbeat busy;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    busy.attempts.push_back(AttemptId{(i << 33) + 5});
+  }
+  corpus.push_back({a, b, std::move(busy)});
   corpus.push_back({a, b, AttemptResult{AttemptId{9}, TaskletId{7}, ok_outcome}});
   corpus.push_back({a, b, AttemptResult{AttemptId{9}, TaskletId{7}, suspended}});
   // r3 content-store messages: digest-only submission and assignment, plus

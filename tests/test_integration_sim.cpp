@@ -301,7 +301,8 @@ TEST(SimIntegration, MandelbrotRowsMatchLocalExecution) {
 TEST(SimIntegration, SpeculativeBackupRescuesDegradedDevice) {
   SimConfig config;
   config.seed = 3;
-  config.broker.speculative_after = 2 * kSecond;
+  config.broker.straggler_multiplier = 4.0;
+  config.broker.straggler_min_samples = 10;
   SimCluster cluster(config);
   cluster.add_providers(sim::desktop_profile(), 2);
   // A degraded device advertising full speed: tasklets placed on it would

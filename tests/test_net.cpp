@@ -118,8 +118,8 @@ class Recorder final : public proto::Actor {
   std::atomic<std::uint64_t> last_from_{0};
 };
 
-// Records the sequence number each heartbeat carries in busy_slots, so a
-// test can check per-destination order.
+// Records the sequence number each heartbeat carries as its one attempt id,
+// so a test can check per-destination order.
 class SequenceRecorder final : public proto::Actor {
  public:
   explicit SequenceRecorder(NodeId id) : Actor(id) {}
@@ -128,7 +128,8 @@ class SequenceRecorder final : public proto::Actor {
   void on_message(const proto::Envelope& envelope, SimTime,
                   proto::Outbox&) override {
     const std::scoped_lock lock(mutex_);
-    seen_.push_back(std::get<proto::Heartbeat>(envelope.payload).busy_slots);
+    seen_.push_back(static_cast<std::uint32_t>(
+        std::get<proto::Heartbeat>(envelope.payload).attempts.at(0).value()));
   }
   void on_timer(std::uint64_t, SimTime, proto::Outbox&) override {}
 
@@ -816,7 +817,7 @@ TEST(TcpTest, OneTurnToThreeDestinationsArrivesInOrderPerDestination) {
   constexpr std::uint32_t kEnvelopes = 999;
   sender.post_closure([](SimTime, proto::Outbox& out) {
     for (std::uint32_t seq = 0; seq < kEnvelopes; ++seq) {
-      out.send(NodeId{2 + seq % 3}, proto::Heartbeat{seq, 0});
+      out.send(NodeId{2 + seq % 3}, proto::Heartbeat{{AttemptId{seq}}});
     }
   });
   for (std::size_t d = 0; d < recorders.size(); ++d) {
@@ -846,7 +847,7 @@ TEST(TcpTest, OneRecvOfRunsForTwoHostsArrivesInOrder) {
   std::vector<std::uint32_t> want_two, want_three;
   std::uint32_t seq = 0;
   const auto append = [&](NodeId to) {
-    const Bytes frame = encode_frame({NodeId{9}, to, proto::Heartbeat{seq, 0}});
+    const Bytes frame = encode_frame({NodeId{9}, to, proto::Heartbeat{{AttemptId{seq}}}});
     stream.insert(stream.end(), frame.begin(), frame.end());
     (to == NodeId{2} ? want_two : want_three).push_back(seq++);
   };
@@ -924,7 +925,7 @@ TEST(TcpTest, DropConnectionReconnectsOnTheNextSend) {
   auto* recorder = static_cast<SequenceRecorder*>(&host.actor());
   std::uint32_t seq = 0;
   const auto send = [&] {
-    runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{seq++, 0}});
+    runtime.route(proto::Envelope{NodeId{1}, NodeId{2}, proto::Heartbeat{{AttemptId{seq++}}}});
   };
   for (int i = 0; i < 50; ++i) send();
   ASSERT_TRUE(eventually([&] { return recorder->count() == 50; }));

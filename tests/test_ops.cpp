@@ -247,7 +247,7 @@ TEST(PoolStatsTest, HealthScoreDiscountsFencePressure) {
 
   broker::ProviderView fenced = clean;
   fenced.straggler_fences = 5;
-  fenced.timed_out = 2;
+  fenced.reconciled = 2;
   EXPECT_LT(broker::health_score(fenced), broker::health_score(clean));
   EXPECT_GT(broker::health_score(fenced), 0.0);
 

@@ -12,9 +12,11 @@
 // policies (same seed => identical report traces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <ostream>
 #include <set>
+#include <vector>
 
 #include "broker/broker.hpp"
 #include "core/sim_cluster.hpp"
@@ -61,6 +63,9 @@ class BrokerFuzzer {
     }
     settle();
     check_terminal_coverage();
+    // Every beat listed what its provider held and nothing was lost, so
+    // reconciliation never fenced an attempt.
+    EXPECT_EQ(broker_.stats().attempts_reconciled, 0u);
   }
 
  private:
@@ -108,11 +113,13 @@ class BrokerFuzzer {
     deliver(victim, proto::DeregisterProvider{});
   }
 
+  // Online providers beat, listing the attempts they hold (r5).
   void heartbeat_all() {
     for (auto& [id, model] : providers_) {
       if (model.online) {
         model.last_heartbeat = now_;
-        deliver(id, proto::Heartbeat{});
+        deliver(id, proto::Heartbeat{{model.inflight.begin(),
+                                      model.inflight.end()}});
       }
     }
   }
@@ -295,8 +302,9 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, BrokerFuzzSweep,
 // every assignment out of it can be dropped, duplicated or delayed by a
 // per-plan random amount. The consumer retransmits unreported submissions
 // (at-least-once, like consumer::ConsumerAgent), providers fence duplicate
-// assignments by attempt id (like provider::ProviderAgent), and the broker's
-// attempt timeout recovers anything lost in between. Invariant: every
+// assignments by attempt id and heartbeat the attempts they hold (like
+// provider::ProviderAgent), and the broker's heartbeat reconciliation
+// recovers anything lost in between. Invariant: every
 // tasklet reaches exactly one terminal outcome — later reports for the same
 // id may only be byte-identical replays of it, never a second conclusion.
 class ChaosBrokerFuzzer {
@@ -314,8 +322,11 @@ class ChaosBrokerFuzzer {
   static BrokerConfig config() {
     BrokerConfig c;
     c.unschedulable_grace = 1 * kSecond;
-    c.attempt_timeout = 3 * kSecond;
     return c;
+  }
+
+  [[nodiscard]] std::uint64_t reconciled() const {
+    return broker_.stats().attempts_reconciled;
   }
 
   void run(int steps) {
@@ -385,8 +396,18 @@ class ChaosBrokerFuzzer {
     channel_in(kConsumer, SubmitTasklet{it->second, {}});
   }
 
+  // Each provider beats the attempts it holds: assigns that reached it and
+  // that it has not answered. A lost assign or result is missing here.
   void heartbeat_all() {
-    for (const NodeId id : providers_) channel_in(id, proto::Heartbeat{});
+    std::map<NodeId, std::vector<AttemptId>> held;
+    for (const AttemptId attempt : unresolved_) {
+      held[attempt_info_.at(attempt).provider].push_back(attempt);
+    }
+    for (const NodeId id : providers_) {
+      std::vector<AttemptId>& attempts = held[id];
+      std::sort(attempts.begin(), attempts.end());
+      channel_in(id, proto::Heartbeat{std::move(attempts)});
+    }
   }
 
   void fire_scan() {
@@ -415,9 +436,9 @@ class ChaosBrokerFuzzer {
     channel_in(info.provider, std::move(result));
   }
 
-  // The faulty inbound link: drop, delay (possibly past the attempt
-  // timeout, making the eventual delivery a *fenced late* result) or
-  // duplicate each frame.
+  // The faulty inbound link: drop, delay (possibly past two heartbeats,
+  // making the eventual delivery a *fenced late* result) or duplicate each
+  // frame.
   void channel_in(NodeId from, proto::Message message) {
     if (!reliable_ && rng_.bernoulli(p_drop_)) return;
     if (!reliable_ && rng_.bernoulli(p_delay_)) {
@@ -488,7 +509,7 @@ class ChaosBrokerFuzzer {
 
   // Makes the network reliable and drives everything to a terminal state:
   // pending frames delivered, outstanding attempts answered, unreported
-  // submissions retransmitted, scans fired so timeouts and fences run.
+  // submissions retransmitted, heartbeats and scans sent so fences run.
   void settle() {
     reliable_ = true;
     for (int round = 0; round < 100; ++round) {
@@ -532,14 +553,18 @@ class ChaosBrokerFuzzer {
 // fault plans, each a full lifecycle fuzz, with zero duplicate or
 // conflicting terminal reports.
 TEST(ChaosBrokerFuzz, ExactlyOnceReportingUnder220RandomFaultPlans) {
+  std::uint64_t reconciled = 0;
   for (std::uint64_t plan = 1; plan <= 220; ++plan) {
     ChaosBrokerFuzzer fuzzer(0xC4A05000 + plan);
     fuzzer.run(120);
+    reconciled += fuzzer.reconciled();
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing fault plan: " << plan;
       break;
     }
   }
+  // Lost assigns and results were recovered by heartbeat reconciliation.
+  EXPECT_GT(reconciled, 0u);
 }
 
 // --- full-runtime determinism sweep ------------------------------------------------

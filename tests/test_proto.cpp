@@ -50,12 +50,25 @@ TEST(ProtoCodec, RegisterAckRoundTrip) {
 
 TEST(ProtoCodec, HeartbeatRoundTrip) {
   Heartbeat hb;
-  hb.busy_slots = 3;
-  hb.queued = 7;
-  const Envelope out = round_trip({NodeId{2}, NodeId{1}, hb});
-  const auto& m = std::get<Heartbeat>(out.payload);
-  EXPECT_EQ(m.busy_slots, 3u);
-  EXPECT_EQ(m.queued, 7u);
+  hb.attempts = {AttemptId{3}, AttemptId{7}, AttemptId{1ULL << 40}};
+  Envelope out = round_trip({NodeId{2}, NodeId{1}, hb});
+  EXPECT_EQ(std::get<Heartbeat>(out.payload).attempts, hb.attempts);
+  out = round_trip({NodeId{2}, NodeId{1}, Heartbeat{}});
+  EXPECT_TRUE(std::get<Heartbeat>(out.payload).attempts.empty());
+
+  // An id count larger than the rest of the frame can hold is rejected
+  // before the decoder reserves room for it. Layout: magic(4) + from(8) +
+  // to(8) + tag(1) + count varint + 8 bytes per id.
+  Bytes wire = encode({NodeId{2}, NodeId{1}, Heartbeat{{AttemptId{9}}}});
+  ASSERT_EQ(wire.size(), 30u);
+  wire[21] = std::byte{2};
+  EXPECT_EQ(decode(wire).status().code(), StatusCode::kDataLoss);
+  // A count of 2^63 - 1, which no vector could reserve.
+  Bytes forged(wire.begin(), wire.begin() + 21);
+  forged.insert(forged.end(), 8, std::byte{0xFF});
+  forged.push_back(std::byte{0x7F});
+  forged.insert(forged.end(), wire.begin() + 22, wire.end());
+  EXPECT_EQ(decode(forged).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ProtoCodec, DeregisterRoundTrip) {

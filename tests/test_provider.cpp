@@ -267,10 +267,10 @@ TEST(ProviderAgentTest, RegistersAndArmsHeartbeatOnStart) {
   ASSERT_EQ(out.timers().size(), 1u);
 }
 
-TEST(ProviderAgentTest, HeartbeatReportsBusySlots) {
+TEST(ProviderAgentTest, HeartbeatListsHeldAttempts) {
   StubExecution execution;
   proto::Capability capability;
-  capability.slots = 2;
+  capability.slots = 3;
   ProviderAgent agent(kSelf, kBroker, capability, execution);
   proto::Outbox start(kSelf);
   agent.on_start(0, start);
@@ -279,16 +279,34 @@ TEST(ProviderAgentTest, HeartbeatReportsBusySlots) {
   agent.on_message({kBroker, kSelf, proto::RegisterAck{agent.incarnation()}}, 0,
                    ack_out);
   EXPECT_TRUE(agent.registered());
+  // Two running attempts and one parked on a program fetch.
   proto::Outbox assign_out(kSelf);
-  agent.on_message({kBroker, kSelf, assignment(1)}, 0, assign_out);
-  EXPECT_EQ(agent.busy_slots(), 1u);
+  agent.on_message({kBroker, kSelf, assignment(9)}, 0, assign_out);
+  agent.on_message({kBroker, kSelf, assignment(4)}, 0, assign_out);
+  proto::AssignTasklet parked = assignment(6);
+  parked.body = proto::DigestBody{store::Digest{1, 2}, {}};
+  agent.on_message({kBroker, kSelf, parked}, 0, assign_out);
+  EXPECT_EQ(agent.busy_slots(), 3u);
 
-  proto::Outbox hb(kSelf);
-  agent.on_timer(1, kSecond, hb);
-  ASSERT_EQ(hb.messages().size(), 1u);
-  const auto& beat = std::get<proto::Heartbeat>(hb.messages()[0].payload);
-  EXPECT_EQ(beat.busy_slots, 1u);
-  ASSERT_EQ(hb.timers().size(), 1u);  // re-armed
+  const auto beat_at = [&](SimTime now) {
+    proto::Outbox hb(kSelf);
+    agent.on_timer(1, now, hb);
+    EXPECT_EQ(hb.timers().size(), 1u);  // re-armed
+    for (const auto& envelope : hb.messages()) {
+      if (const auto* beat = std::get_if<proto::Heartbeat>(&envelope.payload)) {
+        return beat->attempts;
+      }
+    }
+    ADD_FAILURE() << "no heartbeat";
+    return std::vector<AttemptId>{};
+  };
+  EXPECT_EQ(beat_at(kSecond),
+            (std::vector<AttemptId>{AttemptId{4}, AttemptId{6}, AttemptId{9}}));
+  // An answered attempt leaves the list.
+  proto::Outbox done_out(kSelf);
+  execution.complete_one(proto::AttemptOutcome{}, kSecond, done_out);
+  EXPECT_EQ(beat_at(2 * kSecond),
+            (std::vector<AttemptId>{AttemptId{4}, AttemptId{6}}));
 }
 
 TEST(ProviderAgentTest, ResendsRegistrationUntilAcked) {
@@ -332,7 +350,7 @@ TEST(ProviderAgentTest, DuplicateAssignmentIsFencedSilently) {
   agent.on_message({kBroker, kSelf, assignment(1)}, 0, first);
   ASSERT_EQ(execution.pending(), 1u);
   // A retransmit of the same attempt id must not re-execute or respond —
-  // the broker's attempt timeout owns recovery for lost results.
+  // the broker's heartbeat reconciliation owns recovery for lost results.
   proto::Outbox dup(kSelf);
   agent.on_message({kBroker, kSelf, assignment(1)}, 1, dup);
   EXPECT_EQ(execution.pending(), 1u);

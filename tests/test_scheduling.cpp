@@ -29,7 +29,6 @@ namespace {
 
 using proto::AssignTasklet;
 using proto::DeviceClass;
-using proto::Heartbeat;
 using proto::Qoc;
 using proto::TaskletDone;
 using testing::BrokerHarness;
@@ -216,20 +215,6 @@ TEST(BrokerFeedback, EstimatorSurvivesReRegistration) {
   EXPECT_EQ(h.broker().speed_samples(NodeId{2}), 1u);
 }
 
-// Feeds `n` quick submit/complete round-trips through the harness so the
-// completion histogram has enough mass for the straggler bound to engage.
-void feed_completions(BrokerHarness& h, int n, SimTime duration) {
-  for (int i = 0; i < n; ++i) {
-    h.clear_sent();
-    h.submit({}, 1);
-    const auto assigns = h.all_sent<AssignTasklet>();
-    ASSERT_EQ(assigns.size(), 1u);
-    h.now += duration;
-    h.complete(assigns[0].first, assigns[0].second, 1);
-  }
-  h.clear_sent();
-}
-
 TEST(StragglerDefense, SpeculatesPastBoundAndFencesPastTwiceBound) {
   BrokerConfig config;
   config.straggler_multiplier = 3.0;
@@ -237,7 +222,7 @@ TEST(StragglerDefense, SpeculatesPastBoundAndFencesPastTwiceBound) {
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2}, capability(DeviceClass::kDesktop, 100e6, 4));
   h.register_provider(NodeId{3}, capability(DeviceClass::kDesktop, 100e6, 4));
-  feed_completions(h, 5, 1 * kSecond);  // bound ~= 3 x p95(1s) ~= 3s
+  h.feed_completions(5, 1 * kSecond);  // bound ~= 3 x p95(1s) ~= 3s
 
   h.submit({}, 9);
   auto assigns = h.all_sent<AssignTasklet>();
@@ -246,8 +231,8 @@ TEST(StragglerDefense, SpeculatesPastBoundAndFencesPastTwiceBound) {
 
   // Past the bound but under twice it: one speculative backup, no fence.
   h.now += 4 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   assigns = h.all_sent<AssignTasklet>();
   ASSERT_EQ(assigns.size(), 2u);
@@ -258,8 +243,8 @@ TEST(StragglerDefense, SpeculatesPastBoundAndFencesPastTwiceBound) {
   // Past twice the bound: the original attempt is fenced. The live backup
   // is already the replacement, so no additional assign is issued.
   h.now += 4 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   EXPECT_EQ(h.broker().stats().straggler_reassigns, 1u);
 
@@ -279,11 +264,11 @@ TEST(StragglerDefense, StaysQuietBelowMinSamples) {
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2});
   h.register_provider(NodeId{3});
-  feed_completions(h, 5, 1 * kSecond);
+  h.feed_completions(5, 1 * kSecond);
   h.submit({}, 9);
   h.now += 60 * kSecond;
-  h.deliver(NodeId{2}, Heartbeat{});
-  h.deliver(NodeId{3}, Heartbeat{});
+  h.heartbeat(NodeId{2});
+  h.heartbeat(NodeId{3});
   h.fire_timer(1);
   EXPECT_EQ(h.broker().stats().speculations, 0u);
   EXPECT_EQ(h.broker().stats().straggler_reassigns, 0u);
@@ -327,7 +312,7 @@ TEST(AdmissionControl, UsesMeasuredSpeedNotAdvertised) {
   config.admission_control = true;
   BrokerHarness h("qoc_aware", config);
   h.register_provider(NodeId{2}, capability(DeviceClass::kDesktop, 100e6));
-  feed_completions(h, 3, 10 * kSecond);  // 1000 fuel / 10 s = 100 fuel/s
+  h.feed_completions(3, 10 * kSecond);  // 1000 fuel / 10 s = 100 fuel/s
   Qoc qoc;
   qoc.deadline = 1 * kSecond;  // needs ~12.5 s at measured speed
   h.submit(qoc, 5);
